@@ -29,9 +29,9 @@ from .roofline import (
     LatencyResult,
     OperatingPoint,
     ThroughputRoofline,
+    _place_point,
     ai_ratios_from_profile,
     energy_roofline,
-    operating_point,
     task_energy,
     task_latency,
     throughput_roofline,
@@ -85,20 +85,16 @@ def analyze_mapping(
         penalty = 1.0
 
     ref = ref_level if ref_level is not None else min(DEFAULT_REF_LEVEL, arch.n_levels)
-    util = utilization(arch, wl, mapping, profile)
+    ai_ref, ratios = ai_ratios_from_profile(profile, wl, ref, effective_ops)
+    tp_curve = throughput_roofline(arch, ratios)
+    e_curve = energy_roofline(arch, ratios)
+    util = utilization(arch, wl, mapping, profile, overlap)
     e_task = task_energy(arch, wl, profile)
     latency = task_latency(arch, wl, profile, overlap)
-    point = operating_point(
-        arch,
-        wl,
-        mapping,
-        ref_level=ref,
-        profile=profile,
-        effective_ops=effective_ops,
-        bandwidth_penalty=penalty,
-        overlap=overlap,
+    point = _place_point(
+        arch, wl, mapping, profile, ref, ai_ref, tp_curve, e_curve, util,
+        effective_ops, penalty, overlap,
     )
-    _, ratios = ai_ratios_from_profile(profile, wl, ref)
     ai = arithmetic_intensity(profile, wl)
     if sparsity is not None:
         # effective intensity: surviving ops over compressed traffic
@@ -119,8 +115,8 @@ def analyze_mapping(
         e_task_pj=e_task,
         latency=latency,
         point=point,
-        throughput_curve=throughput_roofline(arch, ratios),
-        energy_curve=energy_roofline(arch, ratios),
+        throughput_curve=tp_curve,
+        energy_curve=e_curve,
     )
 
 

@@ -303,12 +303,13 @@ def utilization(
     wl: WorkloadSpec,
     mapping: MappingSpec,
     profile: AccessProfile,
+    overlap: str | None = None,
 ) -> Utilization:
     """Spatial x temporal x core utilization of the mapped workload.
 
-    Temporal stalls come from serialized weight reloads and, when the
-    architecture does not overlap transfers with compute, from the
-    limiting level's transfer time.
+    Temporal stalls come from serialized weight reloads and, when
+    transfers do not overlap compute (``overlap``, else the
+    architecture's mode), from the limiting level's transfer time.
     """
     spatial = spatial_utilization(arch, mapping)
 
@@ -320,7 +321,8 @@ def utilization(
 
     steps = temporal_steps(arch, mapping)
     stalls = float(reload_stall_cycles(profile, mapping))
-    if arch.latency_overlap == SERIALIZED:
+    mode = overlap if overlap is not None else arch.latency_overlap
+    if mode == SERIALIZED:
         n_bytes = profile.n_bytes
         stalls += max(
             n_bytes[lvl.level_index] / lvl.bandwidth for lvl in arch.levels

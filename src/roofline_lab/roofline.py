@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .mapping import (
     AccessProfile,
+    Utilization,
     count_accesses,
     reload_stall_cycles,
     temporal_steps,
@@ -61,7 +61,7 @@ class LatencyResult:
 
 @dataclass(frozen=True)
 class RooflineCurve:
-    """A sampled ceiling with its break points.
+    """A closed-form ceiling with its break points.
 
     ``kind`` is "throughput" (ops/cycle) or "energy" (ops/pJ).
     ``knees`` carries (ai_ref, label): for the throughput roof the
@@ -71,15 +71,27 @@ class RooflineCurve:
     """
 
     kind: str
-    samples: tuple[tuple[float, float], ...]
     knees: tuple[tuple[float, str], ...]
     asymptote: float  # plateau ops/cycle, or 1/E_op ops/pJ
+
+    def value_at(self, ai_ref: float) -> float:
+        raise NotImplementedError
+
+    @cached_property
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        """(ai_ref, value) pairs for plotting: a log grid from two
+        decades below the lowest knee to two above the highest, plus
+        the knees.  Computed on first read; only charts need it."""
+        knee_ais = [ai for ai, _ in self.knees]
+        span = knee_ais or [1.0]
+        grid = _sample_grid(min(span) / 100.0, max(span) * 100.0, knee_ais)
+        return tuple((ai, self.value_at(ai)) for ai in grid)
 
 
 @dataclass(frozen=True)
 class ThroughputRoofline(RooflineCurve):
-    slopes: dict[int, float] = None  # type: ignore[assignment]  # r_i * B_Li
-    level_names: dict[int, str] = None  # type: ignore[assignment]
+    slopes: dict[int, float]  # r_i * B_Li
+    level_names: dict[int, str]
 
     def value_at(self, ai_ref: float) -> float:
         if not self.slopes:
@@ -97,9 +109,9 @@ class ThroughputRoofline(RooflineCurve):
 
 @dataclass(frozen=True)
 class EnergyRoofline(RooflineCurve):
-    e_op: float = 0.0
-    terms: dict[int, float] = None  # type: ignore[assignment]  # E_Li / r_i
-    level_names: dict[int, str] = None  # type: ignore[assignment]
+    e_op: float
+    terms: dict[int, float]  # E_Li / r_i
+    level_names: dict[int, str]
 
     def value_at(self, ai_ref: float) -> float:
         return 1.0 / (self.e_op + sum(t / ai_ref for t in self.terms.values()))
@@ -187,12 +199,16 @@ def ai_ratios_from_profile(
     return ai_ref, ratios
 
 
-def _sample_grid(lo: float, hi: float, knees: list[float]) -> np.ndarray:
+def _sample_grid(lo: float, hi: float, knees: list[float]) -> list[float]:
+    """SAMPLES_PER_DECADE log-spaced points per whole decade covering
+    [lo, hi], ending exactly on a power of ten, merged with the knees."""
     lo_dec = math.floor(math.log10(lo))
     hi_dec = math.ceil(math.log10(hi))
-    n = (hi_dec - lo_dec) * SAMPLES_PER_DECADE + 1
-    grid = np.logspace(lo_dec, hi_dec, n)
-    return np.unique(np.concatenate([grid, np.asarray(knees, dtype=float)]))
+    n = (hi_dec - lo_dec) * SAMPLES_PER_DECADE
+    step = (hi_dec - lo_dec) / n
+    grid = [10.0 ** (lo_dec + i * step) for i in range(n)]
+    grid.append(10.0 ** hi_dec)
+    return sorted(set(grid).union(knees))
 
 
 def throughput_roofline(arch: ArchSpec, ai_ratios: dict[int, float]) -> ThroughputRoofline:
@@ -204,21 +220,12 @@ def throughput_roofline(arch: ArchSpec, ai_ratios: dict[int, float]) -> Throughp
         for lvl in arch.levels
         if math.isfinite(ai_ratios[lvl.level_index])
     }
+    knees = []
     if slopes:
         limit_level, limit_slope = min(slopes.items(), key=lambda kv: kv[1])
-        knee_ai = a_op / limit_slope
-        knees = [(knee_ai, arch.level(limit_level).name)]
-    else:
-        knee_ai = 1.0
-        knees = []
-    grid = _sample_grid(knee_ai / 100.0, knee_ai * 100.0, [knee_ai])
-    samples = tuple(
-        (float(ai), min(min(s * ai for s in slopes.values()), a_op) if slopes else a_op)
-        for ai in grid
-    )
+        knees.append((a_op / limit_slope, arch.level(limit_level).name))
     return ThroughputRoofline(
         kind="throughput",
-        samples=samples,
         knees=tuple(knees),
         asymptote=a_op,
         slopes=slopes,
@@ -240,17 +247,9 @@ def energy_roofline(arch: ArchSpec, ai_ratios: dict[int, float]) -> EnergyRoofli
     }
     knees = []
     if e_op > 0:
-        for li, term in sorted(terms.items()):
-            knees.append((term / e_op, arch.level(li).name))
-    ais = [k for k, _ in knees] or [1.0]
-    grid = _sample_grid(min(ais) / 100.0, max(ais) * 100.0, list(ais))
-    samples = tuple(
-        (float(ai), 1.0 / (e_op + sum(t / ai for t in terms.values())))
-        for ai in grid
-    )
+        knees = [(term / e_op, arch.level(li).name) for li, term in terms.items()]
     return EnergyRoofline(
         kind="energy",
-        samples=samples,
         knees=tuple(sorted(knees)),
         asymptote=(1.0 / e_op if e_op > 0 else math.inf),
         e_op=e_op,
@@ -324,10 +323,31 @@ def operating_point(
         profile = count_accesses(arch, wl, mapping)
     ref = ref_level if ref_level is not None else min(DEFAULT_REF_LEVEL, arch.n_levels)
     ai_ref, ratios = ai_ratios_from_profile(profile, wl, ref, effective_ops)
+    return _place_point(
+        arch, wl, mapping, profile, ref, ai_ref,
+        throughput_roofline(arch, ratios),
+        energy_roofline(arch, ratios),
+        utilization(arch, wl, mapping, profile, overlap),
+        effective_ops, bandwidth_penalty, overlap,
+    )
 
-    tp_curve = throughput_roofline(arch, ratios)
-    e_curve = energy_roofline(arch, ratios)
 
+def _place_point(
+    arch: ArchSpec,
+    wl: WorkloadSpec,
+    mapping: MappingSpec,
+    profile: AccessProfile,
+    ref: int,
+    ai_ref: float,
+    tp_curve: ThroughputRoofline,
+    e_curve: EnergyRoofline,
+    util: Utilization,
+    effective_ops: float | None,
+    bandwidth_penalty: float,
+    overlap: str | None,
+) -> OperatingPoint:
+    """``operating_point`` from roofs and a utilization the caller has
+    already built for this profile."""
     n_ops = float(effective_ops if effective_ops is not None else wl.n_op)
     cycles, _ = effective_latency_cycles(
         arch, wl, mapping, profile, bandwidth_penalty, overlap
@@ -343,7 +363,6 @@ def operating_point(
         float(arch.array.a_op) * mapping.cores,
     )
     ceiling_e = e_curve.value_at(ai_ref)
-    util = utilization(arch, wl, mapping, profile)
 
     if ops_per_cycle > ceiling_tp * (1.0 + REL_TOL):
         raise AssertionError(

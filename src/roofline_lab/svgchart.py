@@ -126,7 +126,7 @@ def emit_svg(
         for ai, knee_label in curve.knees:
             if not (x_lo <= ai <= x_hi):
                 continue
-            v = _curve_value(curve, ai)
+            v = curve.value_at(ai)
             out.append(
                 f'<circle class="knee" data-ai="{ai:g}" cx="{_fmt(sx(ai))}" '
                 f'cy="{_fmt(sy(v))}" r="5" fill="white" stroke="{color}" '
@@ -150,12 +150,3 @@ def emit_svg(
 
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n")
-
-
-def _curve_value(curve: RooflineCurve, ai: float) -> float:
-    # exact evaluators exist on the concrete curve classes
-    value_at = getattr(curve, "value_at", None)
-    if value_at is not None:
-        return value_at(ai)
-    best = min(curve.samples, key=lambda s: abs(math.log10(s[0] / ai)))
-    return best[1]

@@ -2,6 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import roofline_lab
 
 from roofline_lab.cli import main
 from roofline_lab.config_io import fixture_path
@@ -206,6 +212,10 @@ class TestTransformChains:
         b = (tmp_path / "b" / "gemm-dense.csv").read_text().splitlines()
         idx = a[0].split(",").index("l_task_cycles")
         assert float(b[1].split(",")[idx]) > float(a[1].split(",")[idx])
+        code, text = run("analyze", "--scenario", scenario_arg("gemm_dense.scenario"),
+                         "--overlap", "serialized")
+        temporal = float(text.split("temporal ")[1].split(",")[0])
+        assert code == 0 and temporal < 1
 
 
 class TestCompare:
@@ -229,3 +239,9 @@ class TestCompare:
         assert svg.count('class="point"') == 2
         assert 'data-label="gemm-dense"' in svg
         assert 'data-label="gemm-2to4"' in svg
+
+
+def test_cli_import_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(roofline_lab.__file__).parents[1]))
+    code = "import sys, roofline_lab.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -14,8 +14,11 @@ from roofline_lab import (
     task_latency,
     throughput_roofline,
 )
+from roofline_lab import report
+from roofline_lab.config_io import fixture_path, parse_scenario
 from roofline_lab.mapping import AccessProfile
 from roofline_lab.roofline import REL_TOL
+from roofline_lab.svgchart import emit_svg
 
 from conftest import gemm, make_arch, plain_mapping, unroll
 
@@ -153,6 +156,58 @@ class TestEnergyRoofline:
         assert dict((name, ai) for ai, name in curve.knees) == {
             "L1": 0.1 / 0.5, "L2": 3.0 / 0.5, "L3": 100.0 / 0.5
         }
+
+
+SCENARIOS = ("fig3_ai16", "gemm_2to4", "gemm_dense", "imc256")
+
+
+def _scenario(name):
+    return report.load_scenario(parse_scenario(fixture_path(f"{name}.scenario")))
+
+
+class TestSamples:
+    """Roofs are closed-form; samples exist only for charts, are built
+    on first read, and lie exactly on the roof."""
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_samples_not_built_by_analysis(self, name, monkeypatch):
+        results = [report.run_scenario(_scenario(name))]
+        run_scenario = report.run_scenario
+
+        def recording(*args, **kwargs):
+            results.append(run_scenario(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(report, "run_scenario", recording)
+        report.run_sweep(_scenario(name), "E_op", [0.25, 0.5])
+        assert len(results) == 3
+        for r in results:
+            assert "samples" not in vars(r.throughput_curve)
+            assert "samples" not in vars(r.energy_curve)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_samples_after_emit_svg_lie_on_the_roof(self, name, tmp_path):
+        r = report.run_scenario(_scenario(name))
+        for curve in (r.throughput_curve, r.energy_curve):
+            emit_svg([("roof", curve)], [], tmp_path / f"{curve.kind}.svg")
+            assert "samples" in vars(curve)
+            assert all(v == curve.value_at(ai) for ai, v in curve.samples)
+
+    @pytest.mark.parametrize("ratios", [{1: 1 / 16, 2: 1.0, 3: 16.0},
+                                        {1: 1.0, 2: 1.0, 3: 1.0},
+                                        {1: math.inf, 2: math.inf, 3: math.inf}])
+    def test_samples_grid_spans_whole_decades_around_the_knees(self, fig3_arch,
+                                                               ratios):
+        for curve in (throughput_roofline(fig3_arch, ratios),
+                      energy_roofline(fig3_arch, ratios)):
+            ais = [ai for ai, _ in curve.samples]
+            assert all(b > a for a, b in zip(ais, ais[1:]))
+            assert {ai for ai, _ in curve.knees} <= set(ais)
+            for end in (ais[0], ais[-1]):
+                assert end == float(f"1e{round(math.log10(end))}")
+            knee_ais = [ai for ai, _ in curve.knees] or [1.0]
+            assert ais[0] <= min(knee_ais) / 100 < ais[0] * 10
+            assert ais[-1] / 10 < max(knee_ais) * 100 <= ais[-1]
 
 
 class TestDuality:
