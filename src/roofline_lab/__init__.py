@@ -7,11 +7,13 @@ small reporting CLI.
 from .analysis import AnalysisResult, analyze_intensities, analyze_mapping
 from .mapping import (
     AccessProfile,
+    LatencyResult,
     OperandTraffic,
     Utilization,
     arithmetic_intensity,
     count_accesses,
     derive_stationarity,
+    task_latency,
     utilization,
 )
 from .model import (
@@ -39,7 +41,6 @@ from .oracle import (
 )
 from .roofline import (
     EnergyRoofline,
-    LatencyResult,
     OperatingPoint,
     RooflineCurve,
     ThroughputRoofline,
@@ -47,7 +48,6 @@ from .roofline import (
     energy_roofline,
     operating_point,
     task_energy,
-    task_latency,
     throughput_roofline,
 )
 from .transforms import (

@@ -17,23 +17,23 @@ from dataclasses import dataclass
 
 from .mapping import (
     AccessProfile,
+    LatencyResult,
     Utilization,
     arithmetic_intensity,
     count_accesses,
+    task_latency,
     utilization,
 )
 from .model import ArchSpec, MappingSpec, WorkloadSpec
 from .roofline import (
     DEFAULT_REF_LEVEL,
     EnergyRoofline,
-    LatencyResult,
     OperatingPoint,
     ThroughputRoofline,
     _place_point,
     ai_ratios_from_profile,
     energy_roofline,
     task_energy,
-    task_latency,
     throughput_roofline,
 )
 from .transforms import SparsityModel
@@ -86,15 +86,12 @@ def analyze_mapping(
 
     ref = ref_level if ref_level is not None else min(DEFAULT_REF_LEVEL, arch.n_levels)
     ai_ref, ratios = ai_ratios_from_profile(profile, wl, ref, effective_ops)
-    tp_curve = throughput_roofline(arch, ratios)
+    tp_curve = throughput_roofline(arch, ratios, mapping)
     e_curve = energy_roofline(arch, ratios)
-    util = utilization(arch, wl, mapping, profile, overlap)
     e_task = task_energy(arch, wl, profile)
-    latency = task_latency(arch, wl, profile, overlap)
-    point = _place_point(
-        arch, wl, mapping, profile, ref, ai_ref, tp_curve, e_curve, util,
-        effective_ops, penalty, overlap,
-    )
+    latency = task_latency(arch, wl, profile, overlap, mapping, penalty)
+    util = utilization(arch, wl, mapping, profile, latency=latency)
+    point = _place_point(arch, ref, ai_ref, tp_curve, e_curve, latency, effective_ops, e_task)
     ai = arithmetic_intensity(profile, wl)
     if sparsity is not None:
         # effective intensity: surviving ops over compressed traffic
@@ -128,7 +125,8 @@ def analyze_intensities(
     ref_level: int | None = None,
     overlap: str | None = None,
 ) -> AnalysisResult:
-    """Roofline placement from per-level AI alone (ideal utilization)."""
+    """Roofline placement from per-level AI alone: no mapping, so full
+    spatial and core utilization and the ideal latency."""
     profile = AccessProfile.from_intensities(wl.n_op, ai_per_level)
     ref = ref_level if ref_level is not None else min(DEFAULT_REF_LEVEL, arch.n_levels)
     ai_ref, ratios = ai_ratios_from_profile(profile, wl, ref)
@@ -136,19 +134,7 @@ def analyze_intensities(
     latency = task_latency(arch, wl, profile, overlap)
     tp_curve = throughput_roofline(arch, ratios)
     e_curve = energy_roofline(arch, ratios)
-    ops_per_cycle = wl.n_op / latency.cycles
-    point = OperatingPoint(
-        ai_ref=ai_ref,
-        ref_level=ref,
-        ops_per_cycle=ops_per_cycle,
-        attained_throughput=ops_per_cycle * arch.clock,
-        attained_efficiency=wl.n_op / e_task,
-        throughput_ceiling=tp_curve.value_at(ai_ref),
-        efficiency_ceiling=e_curve.value_at(ai_ref),
-        throughput_bound=tp_curve.bound_at(ai_ref),
-        energy_bound=e_curve.bound_at(ai_ref),
-        utilization_total=1.0,
-    )
+    point = _place_point(arch, ref, ai_ref, tp_curve, e_curve, latency, wl.n_op, e_task)
     return AnalysisResult(
         label=label,
         arch=arch,
@@ -157,7 +143,7 @@ def analyze_intensities(
         profile=profile,
         ai=dict(ai_per_level),
         n_bytes=profile.n_bytes,
-        utilization=Utilization(1.0, 1.0, 1.0),
+        utilization=Utilization(1.0, latency.limiting_cycles / latency.cycles, 1.0),
         effective_ops=float(wl.n_op),
         e_task_pj=e_task,
         latency=latency,

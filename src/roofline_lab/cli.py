@@ -8,10 +8,6 @@ Verbs:
   oracle-check  analytic access counts vs brute-force enumeration
 
 Exit codes: 0 success, 1 validation or check failure, 2 parse failure.
-
-The environment variable ROOFLINE_LAB_SEED is reserved for future
-randomized features; the current pipeline is fully deterministic and
-ignores it.
 """
 
 from __future__ import annotations

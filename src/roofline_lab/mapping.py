@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import (
     OUTPUT,
@@ -45,10 +46,14 @@ from .model import (
     MappingSpec,
     OperandSpec,
     WorkloadSpec,
+    tile_elements,
     validate,
 )
 
 Loop = tuple[str, int]  # (dim name, trip count)
+
+COMPUTE = "compute"
+RELOAD = "reload"
 
 
 def fetch_events(loops_inner_first: tuple[Loop, ...], relevant: frozenset[str]) -> int:
@@ -109,8 +114,9 @@ class AccessProfile:
     def bytes_at(self, level: int, operand: str) -> float:
         return self.traffic[(level, operand)].bytes
 
-    @property
+    @cached_property
     def n_bytes(self) -> dict[int, float]:
+        """N_Li per level, summed once on first read; callers share the dict."""
         out: dict[int, float] = {li: 0.0 for li in self.levels}
         for (li, _), t in self.traffic.items():
             out[li] += t.bytes
@@ -187,12 +193,12 @@ def derive_stationarity(wl: WorkloadSpec, mapping: MappingSpec) -> dict[int, str
     return out
 
 
-def _output_bytes_per_element(
-    op: OperandSpec, boundary: int, pending: dict[int, bool]
-) -> float:
-    # Partial sums travel at accumulator width up to and including the
-    # completion boundary; finished values above it at storage width.
-    if boundary == 1 or pending.get(boundary - 1, False):
+def output_bytes_per_element(op: OperandSpec, boundary: int, partial_below: bool) -> float:
+    """Width of an output element crossing ``boundary``.  Partial sums
+    travel at accumulator width up to and including the completion
+    boundary (``partial_below``: partial tiles still cross the boundary
+    beneath); finished values above it at storage width."""
+    if boundary == 1 or partial_below:
         return op.accum_bytes_per_element
     return op.bytes_per_element  # type: ignore[return-value]
 
@@ -213,27 +219,22 @@ def count_accesses(
 
     n_levels = arch.n_levels
     nest = mapping.nest(n_levels)
+    levels = range(1, n_levels + 1)
+    # the loops at or above each boundary, innermost first
+    loops_ge = {li: tuple((d, t) for lv, d, t in nest if lv >= li) for li in levels}
     traffic: dict[tuple[int, str], OperandTraffic] = {}
 
     for op in wl.operands:
         rel = op.relevant
         pending: dict[int, bool] = {}
         if op.role == OUTPUT:
-            for li in range(1, n_levels + 1):
-                loops = tuple((d, t) for lv, d, t in nest if lv >= li)
-                pending[li] = has_pending_reduction(loops, rel)
-        for li in range(1, n_levels + 1):
-            loops_ge = tuple((d, t) for lv, d, t in nest if lv >= li)
-            events = fetch_events(loops_ge, rel)
-            elements = 1
-            for dim in op.relevant_dims:
-                elements *= mapping.parallel_factor(dim)
-                for lv, d, t in nest:
-                    if lv < li and d == dim:
-                        elements *= t
+            pending = {li: has_pending_reduction(loops_ge[li], rel) for li in levels}
+        for li in levels:
+            events = fetch_events(loops_ge[li], rel)
+            elements = tile_elements(mapping, op, li - 1)
             if op.role == OUTPUT:
                 factor = 2 if pending[li] else 1
-                bpe = _output_bytes_per_element(op, li, pending)
+                bpe = output_bytes_per_element(op, li, pending.get(li - 1, False))
             else:
                 factor = 1
                 bpe = op.bytes_per_element  # type: ignore[assignment]
@@ -243,7 +244,7 @@ def count_accesses(
 
     return AccessProfile(
         n_op=wl.n_op,
-        levels=tuple(range(1, n_levels + 1)),
+        levels=tuple(levels),
         traffic=traffic,
         stationary=derive_stationarity(wl, mapping),
     )
@@ -284,8 +285,9 @@ def fold_passes(arch: ArchSpec, mapping: MappingSpec) -> int:
 def temporal_steps(arch: ArchSpec, mapping: MappingSpec) -> int:
     """Compute cycles per core: one per temporal iteration and fold pass."""
     steps = fold_passes(arch, mapping)
-    for li, _, trip in mapping.nest(arch.n_levels):
-        steps *= trip
+    for loops in mapping.temporal[:arch.n_levels]:
+        for _, trip in loops:
+            steps *= trip
     return steps
 
 
@@ -298,35 +300,89 @@ def reload_stall_cycles(profile: AccessProfile, mapping: MappingSpec) -> int:
     return tiles * mapping.reload_cycles_per_tile
 
 
+def active_cores(mapping: MappingSpec) -> int:
+    """Cores that receive a slice of the core split."""
+    if mapping.core_split is None:
+        return 1
+    return min(mapping.core_split[1], mapping.cores)
+
+
+@dataclass(frozen=True)
+class LatencyResult:
+    """Task latency with the (resource, cycles) terms it combines:
+    one per level, "compute", and "reload" when reloads stall."""
+
+    seconds: float
+    cycles: float
+    limiter: str  # the largest level or compute term
+    mode: str  # the latency mode used: overlapped or serialized
+    terms: tuple[tuple[str, float], ...]
+
+    @property
+    def limiting_cycles(self) -> float:
+        return dict(self.terms)[self.limiter]
+
+
+def task_latency(
+    arch: ArchSpec,
+    wl: WorkloadSpec,
+    profile: AccessProfile,
+    overlap: str | None = None,
+    mapping: MappingSpec | None = None,
+    bandwidth_penalty: float = 1.0,
+) -> LatencyResult:
+    """Task latency from one list of (resource, cycles) terms.
+
+    Each level moves its bytes at its bandwidth times the de-rating
+    ``bandwidth_penalty``; L1 is replicated per core, so active cores
+    drain its traffic in parallel while levels above it are shared.
+    Compute takes N_op/A_op cycles without a mapping, and with one a
+    cycle per temporal step and fold pass at the array's throughput
+    scale.  Overlapped (``overlap``, else the architecture's mode): the
+    slowest resource hides the rest and the limiter names it.
+    Serialized: the terms add.  Serialized weight reloads add to either.
+    """
+    mode = overlap if overlap is not None else arch.latency_overlap
+    cores = active_cores(mapping) if mapping is not None else 1
+    n_bytes = profile.n_bytes
+    terms = [
+        (lvl.name, n_bytes[lvl.level_index]
+         / (lvl.bandwidth * bandwidth_penalty * (cores if lvl.level_index == 1 else 1)))
+        for lvl in arch.levels
+    ]
+    if mapping is None:
+        terms.append((COMPUTE, wl.n_op / arch.array.a_op))
+        stalls = 0.0
+    else:
+        terms.append((COMPUTE, temporal_steps(arch, mapping) / arch.array.throughput_scale))
+        stalls = float(reload_stall_cycles(profile, mapping))
+    limiter, cycles = max(terms, key=lambda kv: kv[1])
+    if mode == SERIALIZED:
+        cycles = sum(c for _, c in terms)
+    if stalls:
+        terms.append((RELOAD, stalls))
+        cycles += stalls
+    return LatencyResult(cycles / arch.clock, cycles, limiter, mode, tuple(terms))
+
+
 def utilization(
     arch: ArchSpec,
     wl: WorkloadSpec,
     mapping: MappingSpec,
     profile: AccessProfile,
     overlap: str | None = None,
+    latency: LatencyResult | None = None,
 ) -> Utilization:
     """Spatial x temporal x core utilization of the mapped workload.
 
-    Temporal stalls come from serialized weight reloads and, when
-    transfers do not overlap compute (``overlap``, else the
-    architecture's mode), from the limiting level's transfer time.
+    Temporal utilization is the limiting term's share of the task
+    latency (``latency``, else ``task_latency`` of this mapping): what
+    serialized transfers and reloads add on top of it is stall time.
     """
-    spatial = spatial_utilization(arch, mapping)
-
-    if mapping.core_split is not None:
-        active = min(mapping.core_split[1], mapping.cores)
-    else:
-        active = 1
-    core = active / mapping.cores
-
-    steps = temporal_steps(arch, mapping)
-    stalls = float(reload_stall_cycles(profile, mapping))
-    mode = overlap if overlap is not None else arch.latency_overlap
-    if mode == SERIALIZED:
-        n_bytes = profile.n_bytes
-        stalls += max(
-            n_bytes[lvl.level_index] / lvl.bandwidth for lvl in arch.levels
-        )
-    temporal = steps / (steps + stalls)
-
-    return Utilization(spatial=spatial, temporal=temporal, core=core)
+    if latency is None:
+        latency = task_latency(arch, wl, profile, overlap, mapping)
+    return Utilization(
+        spatial=spatial_utilization(arch, mapping),
+        temporal=latency.limiting_cycles / latency.cycles,
+        core=active_cores(mapping) / mapping.cores,
+    )

@@ -270,29 +270,28 @@ class InvalidMappingError(ValueError):
         super().__init__("; ".join(violations))
 
 
-def tile_extent(mapping: MappingSpec, dim: str, up_to_level: int) -> int:
-    """Elements of ``dim`` covered by one tile at ``up_to_level``.
+def tile_elements(mapping: MappingSpec, operand: OperandSpec, up_to_level: int) -> int:
+    """Elements of one ``operand`` tile at ``up_to_level``.
 
-    Counts all parallel factors plus temporal trips at levels <=
-    ``up_to_level``; this is the per-dim footprint of the tile a level
-    serves to the levels below it.
+    Each relevant dim spans all its parallel factors times its temporal
+    trips at levels <= ``up_to_level``; this is the tile a level serves
+    to the levels below it.
     """
-    extent = mapping.parallel_factor(dim)
-    for li in range(1, up_to_level + 1):
-        for d, trip in mapping.temporal_at(li):
+    loops = [loop for level in mapping.temporal[:up_to_level] for loop in level]
+    elements = 1
+    for dim in operand.relevant_dims:
+        elements *= mapping.parallel_factor(dim)
+        for d, trip in loops:
             if d == dim:
-                extent *= trip
-    return extent
+                elements *= trip
+    return elements
 
 
 def operand_footprint_bytes(
     wl: WorkloadSpec, mapping: MappingSpec, operand: OperandSpec, level_index: int
 ) -> int:
     """Tile footprint of one operand at a level, in whole bytes."""
-    elements = 1
-    for dim in operand.relevant_dims:
-        elements *= tile_extent(mapping, dim, level_index)
-    return elements * math.ceil(operand.precision_bits / 8)
+    return tile_elements(mapping, operand, level_index) * math.ceil(operand.precision_bits / 8)
 
 
 def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str]:

@@ -7,7 +7,9 @@ boundary.  A fetch event fires whenever the tuple changes; a revisit
 (the same tuple seen again later) marks partially accumulated output
 tiles bouncing across the boundary.  No closed forms: the counts come
 out of the walk, so they can arbitrate the closed-form engine in
-``mapping``.
+``mapping``.  Tile sizes and element widths are not counts and come
+from the shared ``model.tile_elements`` and
+``mapping.output_bytes_per_element``.
 
 ``simulate_cycles`` replays the same walk as a discrete pipeline:
 every memory level moves at most B_Li bytes/cycle, the array runs one
@@ -22,12 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .mapping import output_bytes_per_element
 from .model import (
     OUTPUT,
     ArchSpec,
     InvalidMappingError,
     MappingSpec,
     WorkloadSpec,
+    tile_elements,
     validate,
 )
 
@@ -84,20 +88,6 @@ def _check(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec, cap: int) -> 
         raise IterationCapExceeded(
             f"temporal iteration space {space} exceeds oracle cap {cap}"
         )
-
-
-def _tile_elements(wl: WorkloadSpec, mapping: MappingSpec, operand, boundary: int) -> int:
-    """Size of the operand tile resident below ``boundary``: the extent
-    the mapping declares for every relevant dim at levels < boundary,
-    parallel factors included."""
-    elements = 1
-    for dim in operand.relevant_dims:
-        extent = mapping.parallel_factor(dim)
-        for li, d, trip in mapping.nest(boundary - 1):
-            if d == dim:
-                extent *= trip
-        elements *= extent
-    return elements
 
 
 class _Walk:
@@ -201,13 +191,11 @@ class _Walk:
         out: dict[tuple[int, str], float] = {}
         for op in self.wl.operands:
             for b in self.boundaries:
-                elements = _tile_elements(self.wl, self.mapping, op, b)
+                elements = tile_elements(self.mapping, op, b - 1)
                 if op.role == OUTPUT:
                     factor = 2 if self.revisited[(b, op.name)] else 1
-                    if b == 1 or self.revisited.get((b - 1, op.name), False):
-                        bpe = op.accum_bytes_per_element
-                    else:
-                        bpe = op.bytes_per_element
+                    bpe = output_bytes_per_element(
+                        op, b, self.revisited.get((b - 1, op.name), False))
                 else:
                     factor = 1
                     bpe = op.bytes_per_element

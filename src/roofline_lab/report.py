@@ -126,7 +126,7 @@ def render_text(r: AnalysisResult) -> str:
     lines.append(f"scenario: {r.label or wl.name}")
     lines.append(
         f"arch: A_op {_g(arch.array.a_op)} ops/cycle, f_clk {_g(arch.clock)} Hz, "
-        f"E_op {_g(arch.array.energy_per_op)} pJ/op, {arch.latency_overlap}"
+        f"E_op {_g(arch.array.energy_per_op)} pJ/op, {r.latency.mode}"
     )
     lines.append(f"workload: {wl.name}, N_op {wl.n_op} ops")
     if r.effective_ops != wl.n_op:

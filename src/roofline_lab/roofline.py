@@ -5,23 +5,29 @@ arithmetic intensity.
 Task cost from an access profile:
 
     E_task = N_op * E_op + sum_i N_Li * E_Li                  (pJ)
-    L_task = (1/f) * max(N_Ln/B_Ln, ..., N_L1/B_L1, N_op/A_op)
+    L_task = (1/f) * max(N_Ln/B_Ln, ..., N_L1/(c*B_L1), C) + R
 
 in overlapped mode; serialized hardware adds the terms instead of
-overlapping them.
+overlapping them.  Without a mapping c = 1, C = N_op/A_op and R = 0.
+With one (the reported, mapped latency) c is the number of active
+cores (L1 is per core), C counts one cycle per temporal step and fold
+pass divided by the array's throughput scale, every B_Li is de-rated
+by the sparsity bandwidth penalty, and R holds the serialized weight
+reload stalls.  ``task_latency`` (in ``mapping``) is that one term
+list; the operating point and the temporal utilization derive from it.
 
 Both ceilings are plotted against the AI at one designated reference
 level (default L2); the other levels enter through fixed ratios
 r_i = AI_Li / AI_ref:
 
-    throughput  P_TP(ai) = min_i(r_i * ai * B_Li, A_op)       ops/cycle
-    efficiency  P_E(ai)  = 1 / (E_op + sum_i E_Li / (r_i*ai)) ops/pJ
+    throughput  P_TP(ai) = min_i(r_i * ai * B_Li, cores * A_op)   ops/cycle
+    efficiency  P_E(ai)  = 1 / (E_op + sum_i E_Li / (r_i*ai))     ops/pJ
 
-The throughput roof has a sharp knee where the slowest memory slope
-meets the compute plateau; the energy roof bends smoothly and
-asymptotes at 1/E_op (ops/pJ, numerically equal to TOPS/W).  Curves
-are kept in ops/cycle and ops/pJ internally; seconds appear only at
-the reporting boundary.
+where the L1 slope also counts the active cores.  The throughput roof
+has a sharp knee where the slowest memory slope meets the compute
+plateau; the energy roof bends smoothly and asymptotes at 1/E_op
+(ops/pJ, numerically equal to TOPS/W).  Curves are kept in ops/cycle
+and ops/pJ internally; seconds appear only at the reporting boundary.
 """
 
 from __future__ import annotations
@@ -30,33 +36,18 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .mapping import (
+from .mapping import (  # task_latency and LatencyResult are re-exported here
     AccessProfile,
-    Utilization,
+    LatencyResult,
+    active_cores,
     count_accesses,
-    reload_stall_cycles,
-    temporal_steps,
-    utilization,
+    task_latency,
 )
-from .model import (
-    SERIALIZED,
-    ArchSpec,
-    MappingSpec,
-    WorkloadSpec,
-)
+from .model import ArchSpec, MappingSpec, WorkloadSpec
 
 REL_TOL = 1e-9
 DEFAULT_REF_LEVEL = 2
 SAMPLES_PER_DECADE = 64
-
-COMPUTE = "compute"
-
-
-@dataclass(frozen=True)
-class LatencyResult:
-    seconds: float
-    cycles: float
-    limiter: str  # level name or "compute"
 
 
 @dataclass(frozen=True)
@@ -140,7 +131,6 @@ class OperatingPoint:
     efficiency_ceiling: float  # ops/pJ at ai_ref
     throughput_bound: str
     energy_bound: str
-    utilization_total: float
 
 
 def task_energy(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile) -> float:
@@ -150,31 +140,6 @@ def task_energy(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile) -> flo
     for lvl in arch.levels:
         energy += n_bytes[lvl.level_index] * lvl.energy_per_byte
     return energy
-
-
-def task_latency(
-    arch: ArchSpec,
-    wl: WorkloadSpec,
-    profile: AccessProfile,
-    overlap: str | None = None,
-) -> LatencyResult:
-    """Idealized task latency from the profile alone (full utilization).
-
-    Overlapped: the slowest resource hides the rest; the limiter label
-    names it.  Serialized: resources take turns and the terms add.
-    """
-    mode = overlap if overlap is not None else arch.latency_overlap
-    n_bytes = profile.n_bytes
-    terms: list[tuple[str, float]] = [
-        (lvl.name, n_bytes[lvl.level_index] / lvl.bandwidth) for lvl in arch.levels
-    ]
-    terms.append((COMPUTE, wl.n_op / arch.array.a_op))
-    if mode == SERIALIZED:
-        cycles = sum(c for _, c in terms)
-        limiter, _ = max(terms, key=lambda kv: kv[1])
-    else:
-        limiter, cycles = max(terms, key=lambda kv: kv[1])
-    return LatencyResult(seconds=cycles / arch.clock, cycles=cycles, limiter=limiter)
 
 
 def ai_ratios_from_profile(
@@ -211,23 +176,29 @@ def _sample_grid(lo: float, hi: float, knees: list[float]) -> list[float]:
     return sorted(set(grid).union(knees))
 
 
-def throughput_roofline(arch: ArchSpec, ai_ratios: dict[int, float]) -> ThroughputRoofline:
+def throughput_roofline(
+    arch: ArchSpec, ai_ratios: dict[int, float], mapping: MappingSpec | None = None
+) -> ThroughputRoofline:
     """Attainable ops/cycle over reference AI; knee where the limiting
-    memory slope meets the compute plateau."""
-    a_op = float(arch.array.a_op)
+    memory slope meets the compute plateau.  With a mapping the plateau
+    is cores * A_op and the per-core L1 slope counts the active cores."""
+    cores = mapping.cores if mapping is not None else 1
+    l1_share = active_cores(mapping) if mapping is not None else 1
+    plateau = float(arch.array.a_op) * cores
     slopes = {
         lvl.level_index: ai_ratios[lvl.level_index] * lvl.bandwidth
+        * (l1_share if lvl.level_index == 1 else 1)
         for lvl in arch.levels
         if math.isfinite(ai_ratios[lvl.level_index])
     }
     knees = []
     if slopes:
         limit_level, limit_slope = min(slopes.items(), key=lambda kv: kv[1])
-        knees.append((a_op / limit_slope, arch.level(limit_level).name))
+        knees.append((plateau / limit_slope, arch.level(limit_level).name))
     return ThroughputRoofline(
         kind="throughput",
         knees=tuple(knees),
-        asymptote=a_op,
+        asymptote=plateau,
         slopes=slopes,
         level_names={lvl.level_index: lvl.name for lvl in arch.levels},
     )
@@ -258,49 +229,6 @@ def energy_roofline(arch: ArchSpec, ai_ratios: dict[int, float]) -> EnergyRoofli
     )
 
 
-def effective_latency_cycles(
-    arch: ArchSpec,
-    wl: WorkloadSpec,
-    mapping: MappingSpec,
-    profile: AccessProfile,
-    bandwidth_penalty: float = 1.0,
-    overlap: str | None = None,
-) -> tuple[float, str]:
-    """Latency of the mapped workload including utilization losses.
-
-    Compute takes one cycle per temporal step per active core (spatial
-    under-fill and array folds included in the step count); serialized
-    weight reloads stall everything; a serialized architecture adds
-    transfer time instead of hiding it.  Level 1 is replicated per
-    core, so active cores drain its aggregate traffic in parallel;
-    levels above it are shared.
-    """
-    mode = overlap if overlap is not None else arch.latency_overlap
-    n_bytes = profile.n_bytes
-    if mapping.core_split is not None:
-        active_cores = min(mapping.core_split[1], mapping.cores)
-    else:
-        active_cores = 1
-    mem_terms = [
-        (
-            lvl.name,
-            n_bytes[lvl.level_index]
-            / (lvl.bandwidth * bandwidth_penalty
-               * (active_cores if lvl.level_index == 1 else 1)),
-        )
-        for lvl in arch.levels
-    ]
-    steps = float(temporal_steps(arch, mapping))
-    terms = mem_terms + [(COMPUTE, steps)]
-    if mode == SERIALIZED:
-        cycles = sum(c for _, c in terms)
-        limiter = max(terms, key=lambda kv: kv[1])[0]
-    else:
-        limiter, cycles = max(terms, key=lambda kv: kv[1])
-    cycles += reload_stall_cycles(profile, mapping)
-    return cycles, limiter
-
-
 def operating_point(
     arch: ArchSpec,
     wl: WorkloadSpec,
@@ -324,67 +252,41 @@ def operating_point(
     ref = ref_level if ref_level is not None else min(DEFAULT_REF_LEVEL, arch.n_levels)
     ai_ref, ratios = ai_ratios_from_profile(profile, wl, ref, effective_ops)
     return _place_point(
-        arch, wl, mapping, profile, ref, ai_ref,
-        throughput_roofline(arch, ratios),
+        arch, ref, ai_ref,
+        throughput_roofline(arch, ratios, mapping),
         energy_roofline(arch, ratios),
-        utilization(arch, wl, mapping, profile, overlap),
-        effective_ops, bandwidth_penalty, overlap,
+        task_latency(arch, wl, profile, overlap, mapping, bandwidth_penalty),
+        float(effective_ops if effective_ops is not None else wl.n_op),
+        task_energy(arch, wl, profile),
     )
 
 
 def _place_point(
     arch: ArchSpec,
-    wl: WorkloadSpec,
-    mapping: MappingSpec,
-    profile: AccessProfile,
     ref: int,
     ai_ref: float,
     tp_curve: ThroughputRoofline,
     e_curve: EnergyRoofline,
-    util: Utilization,
-    effective_ops: float | None,
-    bandwidth_penalty: float,
-    overlap: str | None,
+    latency: LatencyResult,
+    n_ops: float,
+    e_task: float,
 ) -> OperatingPoint:
-    """``operating_point`` from roofs and a utilization the caller has
-    already built for this profile."""
-    n_ops = float(effective_ops if effective_ops is not None else wl.n_op)
-    cycles, _ = effective_latency_cycles(
-        arch, wl, mapping, profile, bandwidth_penalty, overlap
-    )
-    # replicated cores run their splits in parallel against a peak of
-    # cores * A_op; the core-utilization term accounts for idle ones
-    ops_per_cycle = n_ops / cycles
-    e_task = task_energy(arch, wl, profile)
-    efficiency = n_ops / e_task
-
-    ceiling_tp = min(
-        min(s * ai_ref for s in tp_curve.slopes.values()) if tp_curve.slopes else math.inf,
-        float(arch.array.a_op) * mapping.cores,
-    )
-    ceiling_e = e_curve.value_at(ai_ref)
-
+    """``operating_point`` from roofs, latency and energy the caller
+    has already built: n_ops / L_task against the curves at ai_ref."""
+    ops_per_cycle = n_ops / latency.cycles
+    ceiling_tp = tp_curve.value_at(ai_ref)
     if ops_per_cycle > ceiling_tp * (1.0 + REL_TOL):
         raise AssertionError(
             f"attained {ops_per_cycle} ops/cycle exceeds ceiling {ceiling_tp}"
         )
-
-    slopes = tp_curve.slopes
-    limit_level, limit_slope = min(slopes.items(), key=lambda kv: kv[1]) if slopes else (0, math.inf)
-    if slopes and limit_slope * ai_ref < arch.array.a_op * mapping.cores:
-        tp_bound = f"memory-bound({arch.level(limit_level).name})"
-    else:
-        tp_bound = "compute-bound"
-
     return OperatingPoint(
         ai_ref=ai_ref,
         ref_level=ref,
         ops_per_cycle=ops_per_cycle,
         attained_throughput=ops_per_cycle * arch.clock,
-        attained_efficiency=efficiency,
+        attained_efficiency=n_ops / e_task,
         throughput_ceiling=ceiling_tp,
-        efficiency_ceiling=ceiling_e,
-        throughput_bound=tp_bound,
+        efficiency_ceiling=e_curve.value_at(ai_ref),
+        throughput_bound=tp_curve.bound_at(ai_ref),
         energy_bound=e_curve.bound_at(ai_ref),
-        utilization_total=util.total,
     )

@@ -217,6 +217,20 @@ class TestTransformChains:
         temporal = float(text.split("temporal ")[1].split(",")[0])
         assert code == 0 and temporal < 1
 
+    def test_text_header_names_the_latency_mode_in_use(self):
+        for overlap in ("overlapped", "serialized"):
+            code, text = run("analyze", "--scenario", scenario_arg("gemm_dense.scenario"),
+                             "--overlap", overlap)
+            assert code == 0
+            assert text.splitlines()[1].endswith(f"pJ/op, {overlap}")
+
+    def test_lowered_a_op_sweep_prints_a_row(self):
+        code, out = run("sweep", "--scenario", scenario_arg("gemm_dense.scenario"),
+                        "--param", "A_op", "--values", "32")
+        assert code == 0
+        rows = out.strip().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("A_op,32,gemm-dense,")
+
 
 class TestCompare:
     def test_sparse_point_sits_left_of_and_below_dense(self, tmp_path):

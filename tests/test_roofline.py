@@ -2,12 +2,14 @@
 arithmetic on the reference constants."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from roofline_lab import (
     MappingSpec,
     ai_ratios_from_profile,
+    analyze_mapping,
     energy_roofline,
     operating_point,
     task_energy,
@@ -291,6 +293,14 @@ class TestOperatingPoint:
         point = operating_point(arch, wl, mapping)
         assert point.ops_per_cycle == 0.5 * point.throughput_ceiling
 
+    def test_core_split_compute_bound_point_sits_on_the_cores_plateau(self):
+        r = _core_split_result("cs-compute")
+        a_op = r.arch.array.a_op
+        assert r.throughput_curve.asymptote == 2 * a_op
+        assert r.point.throughput_ceiling == 2 * a_op
+        assert r.point.ops_per_cycle == pytest.approx(2 * a_op, rel=REL_TOL)
+        assert r.point.throughput_bound == "compute-bound"
+
     def test_attained_never_exceeds_ceiling(self, fig3_arch):
         wl = gemm(16, 8, 8)
         mapping = plain_mapping(
@@ -300,3 +310,87 @@ class TestOperatingPoint:
         point = operating_point(fig3_arch, wl, mapping)
         assert point.ops_per_cycle <= point.throughput_ceiling * (1 + 1e-9)
         assert point.attained_efficiency <= point.efficiency_ceiling * (1 + 1e-9)
+
+
+# Core-split mappings of gemm 64x32x32 on an 8x8 array with two cores:
+# (arch levels as (B/cycle, pJ/B), temporal loops per level, split dim).
+CORE_SPLITS = {
+    "cs-l1-narrow": ([(16, 0.1), (64, 2.0), (32, 50.0)],
+                     [[("C", 4), ("B", 8)], [("K", 4), ("B", 4)], []], "B"),
+    "cs-compute": ([(4096, 0.1), (2048, 2.0), (1024, 50.0)],
+                   [[("B", 16), ("C", 4)], [("K", 2)], [("B", 4)]], "K"),
+    "cs-l3-narrow": ([(256, 0.1), (64, 2.0), (2, 50.0)],
+                     [[("C", 4)], [("B", 16)], [("K", 2), ("B", 4)]], "K"),
+}
+
+
+def _core_split_result(name, overlap=None):
+    levels, nest, split = CORE_SPLITS[name]
+    arch = make_arch(levels, dims=(("row", 8), ("col", 8)))
+    mapping = plain_mapping(nest, spatial=[unroll("row", "C", 8), unroll("col", "K", 8)],
+                            cores=2, core_split=(split, 2))
+    return analyze_mapping(arch, gemm(64, 32, 32), mapping, label=name, overlap=overlap)
+
+
+def _swept(name, param, value, overlap=None):
+    loaded = report.apply_sweep_value(_scenario(name), param, value)
+    return report.run_scenario(loaded, overlap)
+
+
+def _pinned_with_reloads(overlap=None):
+    loaded = _scenario("gemm_dense")
+    loaded.mapping = replace(loaded.mapping, pinned_operand="W", reload_cycles_per_tile=3)
+    return report.run_scenario(loaded, overlap)
+
+
+CASES = {
+    **{n: (lambda n=n: report.run_scenario(_scenario(n))) for n in SCENARIOS},
+    **{f"{n}-serialized": (lambda n=n: report.run_scenario(_scenario(n), "serialized"))
+       for n in SCENARIOS},
+    **{n: (lambda n=n: _core_split_result(n)) for n in CORE_SPLITS},
+    **{f"{n}-serialized": (lambda n=n: _core_split_result(n, "serialized"))
+       for n in CORE_SPLITS},
+    "gemm_dense-A_op-32": lambda: _swept("gemm_dense", "A_op", 32.0),
+    "gemm_dense-A_op-96": lambda: _swept("gemm_dense", "A_op", 96.0),
+    "gemm_dense-12-bit": lambda: _swept("gemm_dense", "precision", 12),
+    "gemm_dense-16-bit": lambda: _swept("gemm_dense", "precision", 16),
+    "gemm_2to4-A_op-32": lambda: _swept("gemm_2to4", "A_op", 32.0),
+    "pinned-reloads": _pinned_with_reloads,
+    "pinned-reloads-serialized": lambda: _pinned_with_reloads("serialized"),
+}
+
+
+class TestOneLatencyModel:
+    """L_task, the attained point, the temporal utilization and the
+    drawn roof all come from one latency term list, so they agree."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_report_agrees_with_itself(self, case):
+        r = CASES[case]()
+        lat, p, curve = r.latency, r.point, r.throughput_curve
+        assert lat.cycles * p.ops_per_cycle == pytest.approx(r.effective_ops, rel=1e-12)
+        assert p.ops_per_cycle <= curve.value_at(p.ai_ref) * (1 + REL_TOL)
+        assert p.throughput_ceiling == curve.value_at(p.ai_ref)
+        assert p.throughput_bound == curve.bound_at(p.ai_ref)
+        limiting = max(c for name, c in lat.terms if name != "reload")
+        assert dict(lat.terms)[lat.limiter] == limiting
+        assert r.utilization.temporal == pytest.approx(limiting / lat.cycles, rel=1e-12)
+        assert lat.mode == ("serialized" if case.endswith("serialized") else "overlapped")
+
+    def test_serialized_gemm_dense_temporal_utilization(self):
+        r = report.run_scenario(_scenario("gemm_dense"), "serialized")
+        # L3 limits at 40 cycles of 32 compute + 13 + 10 + 40 transfer
+        assert r.latency.cycles == 95
+        assert f"{r.utilization.temporal:.10g}" == "0.4210526316"
+
+    def test_unmapped_latency_keeps_the_ideal_numbers(self, fig3_arch, ref_workload,
+                                                      ref_profile):
+        lat = task_latency(fig3_arch, ref_workload, ref_profile)
+        assert lat.terms == (("L1", 16.0), ("L2", 4.0), ("L3", 1.0), ("compute", 1.0))
+
+    def test_reloads_add_to_the_mapped_latency(self):
+        # imc256: 1024 compute steps plus one 256-row weight load
+        r = report.run_scenario(_scenario("imc256"))
+        assert r.latency.cycles == 1280
+        assert r.latency.limiter == "compute"
+        assert dict(r.latency.terms)["reload"] == 256
