@@ -66,13 +66,13 @@ rows = [("dense", dense)]
 
 cfg24 = SparsityConfig(mode="structured-NM", density={"W": 0.5}, n=2, m=4,
                        utilization_penalty=0.9)
-_, _, m24 = apply_sparsity(arch, wl, cfg24)
+m24 = apply_sparsity(wl, cfg24)
 rows.append(("2:4 structured",
              analyze_mapping(arch, wl, mapping, label="2:4", sparsity=m24)))
 
 cfg_u = SparsityConfig(mode="unstructured", density={"W": 0.0039},
                        index_bits=32, utilization_penalty=0.5)
-_, _, mu = apply_sparsity(arch, wl, cfg_u)
+mu = apply_sparsity(wl, cfg_u)
 rows.append(("0.39% unstructured",
              analyze_mapping(arch, wl, mapping, label="sparse", sparsity=mu)))
 

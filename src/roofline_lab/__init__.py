@@ -4,7 +4,12 @@ oracle, quantization / sparsity / in-memory-compute transforms, and a
 small reporting CLI.
 """
 
-from .analysis import AnalysisResult, analyze_intensities, analyze_mapping
+from .analysis import (
+    AnalysisResult,
+    analyze_intensities,
+    analyze_mapping,
+    operating_point,
+)
 from .mapping import (
     AccessProfile,
     LatencyResult,
@@ -44,15 +49,12 @@ from .roofline import (
     OperatingPoint,
     RooflineCurve,
     ThroughputRoofline,
-    ai_ratios_from_profile,
     energy_roofline,
-    operating_point,
     task_energy,
     throughput_roofline,
 )
 from .transforms import (
     ImcArchBundle,
-    ImcDynamicRange,
     ImcMacro,
     ImcMappingTradeoff,
     QuantConfig,

@@ -19,7 +19,6 @@ from pathlib import Path
 from .analysis import AnalysisResult
 from .config_io import (
     ParseError,
-    Scenario,
     parse_arch,
     parse_mapping,
     parse_scenario,
@@ -98,21 +97,19 @@ def _load_triple(args) -> tuple:
             parse_mapping(args.mapping))
 
 
-def _scenario_from_args(args) -> LoadedScenario:
-    if args.scenario:
-        return load_scenario(parse_scenario(args.scenario))
-    arch = parse_arch(args.arch)
-    wl = parse_workload(args.workload)
-    mapping = parse_mapping(args.mapping)
-    return LoadedScenario(
-        label=Path(args.workload).stem,
-        arch=arch,
-        workload=wl,
-        mapping=mapping,
-        ai_profile=None,
-        ref_level=None,
-        transforms=(),
-    )
+def _scenario_from_args(args, path: str | None) -> LoadedScenario:
+    """The scenario at ``path``, else the --arch/--workload/--mapping
+    triple, with the --ai-ref-level override applied."""
+    if path is not None:
+        loaded = load_scenario(parse_scenario(path))
+    else:
+        arch, wl, mapping = _load_triple(args)
+        loaded = LoadedScenario(label=Path(args.workload).stem, arch=arch, workload=wl,
+                                mapping=mapping, ai_profile=None, ref_level=None,
+                                transforms=())
+    if args.ai_ref_level is not None:
+        loaded.ref_level = args.ai_ref_level
+    return loaded
 
 
 def _emit(result: AnalysisResult, args, stdout) -> None:
@@ -141,21 +138,13 @@ def _emit(result: AnalysisResult, args, stdout) -> None:
 
 
 def _cmd_analyze(args, stdout) -> int:
-    if not args.scenario and not (args.arch and args.workload and args.mapping):
-        raise ParseError("<args>", "arguments",
-                         "analyze needs --scenario or --arch/--workload/--mapping")
-    loaded = _scenario_from_args(args)
-    if args.ai_ref_level is not None:
-        loaded.ref_level = args.ai_ref_level
-    result = run_scenario(loaded, overlap=args.overlap)
+    result = run_scenario(_scenario_from_args(args, args.scenario), overlap=args.overlap)
     _emit(result, args, stdout)
     return OK
 
 
 def _cmd_sweep(args, stdout) -> int:
-    loaded = load_scenario(parse_scenario(args.scenario))
-    if args.ai_ref_level is not None:
-        loaded.ref_level = args.ai_ref_level
+    loaded = _scenario_from_args(args, args.scenario)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
@@ -174,12 +163,8 @@ def _cmd_sweep(args, stdout) -> int:
 
 
 def _cmd_compare(args, stdout) -> int:
-    results = []
-    for spath in args.scenario:
-        loaded = load_scenario(parse_scenario(spath))
-        if args.ai_ref_level is not None:
-            loaded.ref_level = args.ai_ref_level
-        results.append(run_scenario(loaded, overlap=args.overlap))
+    results = [run_scenario(_scenario_from_args(args, spath), overlap=args.overlap)
+               for spath in args.scenario]
     rows = [analysis_row(r) for r in results]
     stdout.write(rows_to_csv(ANALYSIS_FIELDS, rows))
     if args.format == "svg":

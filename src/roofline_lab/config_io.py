@@ -446,7 +446,10 @@ def parse_scenario(path: str | Path) -> Scenario:
     if mapping_path is None and ai_profile is None:
         raise ParseError(p, "scenario", "needs either 'mapping' or 'ai_profile'")
 
-    ref_raw = root.take("ref_level", required=False)
+    ref_level = root.take("ref_level", required=False)
+    if ref_level is not None and (
+            not isinstance(ref_level, int) or isinstance(ref_level, bool) or ref_level < 1):
+        raise ParseError(p, "scenario.ref_level", "expected an integer >= 1")
     transforms_raw = root.take("transforms", required=False, default=[])
     if not isinstance(transforms_raw, list):
         raise ParseError(p, "scenario.transforms", "expected a list")
@@ -459,7 +462,7 @@ def parse_scenario(path: str | Path) -> Scenario:
         workload_path=workload_path,
         mapping_path=mapping_path,
         ai_profile=ai_profile,
-        ref_level=None if ref_raw is None else int(ref_raw),
+        ref_level=ref_level,
         transforms=transforms,
     )
     root.finish()

@@ -111,9 +111,6 @@ class AccessProfile:
     traffic: dict[tuple[int, str], OperandTraffic]
     stationary: dict[int, str | None]
 
-    def bytes_at(self, level: int, operand: str) -> float:
-        return self.traffic[(level, operand)].bytes
-
     @cached_property
     def n_bytes(self) -> dict[int, float]:
         """N_Li per level, summed once on first read; callers share the dict."""
@@ -301,10 +298,11 @@ def reload_stall_cycles(profile: AccessProfile, mapping: MappingSpec) -> int:
 
 
 def active_cores(mapping: MappingSpec) -> int:
-    """Cores that receive a slice of the core split."""
+    """Cores that receive a slice of the core split (``validate``
+    keeps the split within ``mapping.cores``)."""
     if mapping.core_split is None:
         return 1
-    return min(mapping.core_split[1], mapping.cores)
+    return mapping.core_split[1]
 
 
 @dataclass(frozen=True)

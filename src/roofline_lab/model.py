@@ -385,6 +385,8 @@ def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str
             v.append(f"core split names unknown dim {cd!r}")
         if cf < 1:
             v.append(f"core split factor must be >= 1 (got {cf})")
+        if cf > mapping.cores:
+            v.append(f"core_split factor {cf} exceeds cores {mapping.cores}")
     if mapping.pinned_operand is not None:
         if not any(op.name == mapping.pinned_operand for op in wl.operands):
             v.append(f"pinned operand {mapping.pinned_operand!r} not in workload")

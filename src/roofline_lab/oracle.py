@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mapping import output_bytes_per_element
+from .mapping import fold_passes, output_bytes_per_element
 from .model import (
     OUTPUT,
     ArchSpec,
@@ -60,9 +60,6 @@ class EnumerationTrace:
     revisited: dict[tuple[int, str], bool]
     records: list[TraceRecord] = field(default_factory=list)
 
-    def total_bytes(self, level: int) -> float:
-        return sum(b for (li, _), b in self.bytes.items() if li == level)
-
     def dump_lines(self) -> list[str]:
         """One text record per event: ``cycle,level,operand,bytes``."""
         return [
@@ -96,7 +93,6 @@ class _Walk:
     def __init__(self, arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec,
                  cap: int, record: bool = False):
         _check(arch, wl, mapping, cap)
-        self.arch = arch
         self.wl = wl
         self.mapping = mapping
         n_levels = arch.n_levels
@@ -124,15 +120,8 @@ class _Walk:
         )
         self.record = record
 
-        self.events: dict[tuple[int, str], int] = {}
-        self.revisited: dict[tuple[int, str], bool] = {}
-        self.records: list[TraceRecord] = []
-        self.tile_event_counts: dict[tuple[int, str], list[int]] = {}
-        self.tile_steps: list[int] = []
-        self.n_tiles = 0
-        self._record_pending: list[tuple[int, int, str]] = []
-
     def run(self) -> None:
+        """Walk the nest once, setting the per-event and per-tile counts."""
         counters = [0] * len(self.loops)
         last: dict[tuple[str, int], tuple[int, ...] | None] = {
             (name, b): None for name, b, _ in self.watchers
@@ -146,6 +135,7 @@ class _Walk:
             (b, name): [] for name, b, _ in self.watchers
         }
         tile_steps: list[int] = []
+        n_tiles = 0
         last_tile: tuple[int, ...] | None = None
 
         total = 1
@@ -157,7 +147,7 @@ class _Walk:
             tile_id = tuple(counters[j] for j in self.tile_positions)
             if tile_id != last_tile:
                 last_tile = tile_id
-                self.n_tiles += 1
+                n_tiles += 1
                 tile_steps.append(0)
                 for key in tile_counts:
                     tile_counts[key].append(0)
@@ -184,6 +174,7 @@ class _Walk:
         self.revisited = revisited
         self.tile_event_counts = tile_counts
         self.tile_steps = tile_steps
+        self.n_tiles = n_tiles
         self._record_pending = record_pending
 
     def event_bytes(self) -> dict[tuple[int, str], float]:
@@ -252,9 +243,7 @@ def simulate_cycles(
     per_event = walk.event_bytes()
 
     n_tiles = walk.n_tiles
-    passes = 1
-    for u in mapping.spatial:
-        passes *= -(-u.factor // arch.array.axis_size(u.axis))
+    passes = fold_passes(arch, mapping)
 
     # per-tile loads
     compute_steps = [s * passes for s in walk.tile_steps]

@@ -80,8 +80,7 @@ def run_scenario(loaded: LoadedScenario, overlap: str | None = None) -> Analysis
         if isinstance(t, QuantConfig):
             arch, wl = apply_quantization(arch, wl, t)
         elif isinstance(t, SparsityConfig):
-            wl, _, model = apply_sparsity(arch, wl, t)
-            sparsity = _combine_sparsity(sparsity, model, wl.n_op)
+            sparsity = _combine_sparsity(sparsity, apply_sparsity(wl, t), wl.n_op)
         elif isinstance(t, ImcMacro):
             bundle = imc_macro_as_arch(t)
             arch = replace(arch, array=bundle.array)

@@ -15,10 +15,13 @@ pass divided by the array's throughput scale, every B_Li is de-rated
 by the sparsity bandwidth penalty, and R holds the serialized weight
 reload stalls.  ``task_latency`` (in ``mapping``) is that one term
 list; the operating point and the temporal utilization derive from it.
+This module holds the roofs and the point's record; ``analysis``
+places the point, in one evaluator shared by every entry path.
 
 Both ceilings are plotted against the AI at one designated reference
 level (default L2); the other levels enter through fixed ratios
-r_i = AI_Li / AI_ref:
+r_i = AI_Li / AI_ref = N_ref / N_Li, which depend on the byte counts
+alone:
 
     throughput  P_TP(ai) = min_i(r_i * ai * B_Li, cores * A_op)   ops/cycle
     efficiency  P_E(ai)  = 1 / (E_op + sum_i E_Li / (r_i*ai))     ops/pJ
@@ -40,7 +43,6 @@ from .mapping import (  # task_latency and LatencyResult are re-exported here
     AccessProfile,
     LatencyResult,
     active_cores,
-    count_accesses,
     task_latency,
 )
 from .model import ArchSpec, MappingSpec, WorkloadSpec
@@ -125,7 +127,6 @@ class OperatingPoint:
     ai_ref: float
     ref_level: int
     ops_per_cycle: float
-    attained_throughput: float  # ops/second
     attained_efficiency: float  # ops/pJ
     throughput_ceiling: float  # ops/cycle at ai_ref
     efficiency_ceiling: float  # ops/pJ at ai_ref
@@ -140,28 +141,6 @@ def task_energy(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile) -> flo
     for lvl in arch.levels:
         energy += n_bytes[lvl.level_index] * lvl.energy_per_byte
     return energy
-
-
-def ai_ratios_from_profile(
-    profile: AccessProfile,
-    wl: WorkloadSpec,
-    ref_level: int,
-    effective_ops: float | None = None,
-) -> tuple[float, dict[int, float]]:
-    """(ai_ref, per-level ratios r_i) for roofline placement.
-
-    The ratios depend only on the byte counts; the reference AI uses
-    the effective operation count when one is given (sparsity), since
-    only surviving MACs count toward intensity.
-    """
-    n_ops = float(effective_ops if effective_ops is not None else wl.n_op)
-    n_bytes = profile.n_bytes
-    ref_bytes = n_bytes[ref_level]
-    ai_ref = n_ops / ref_bytes if ref_bytes > 0 else math.inf
-    ratios = {
-        li: (ref_bytes / b if b > 0 else math.inf) for li, b in n_bytes.items()
-    }
-    return ai_ref, ratios
 
 
 def _sample_grid(lo: float, hi: float, knees: list[float]) -> list[float]:
@@ -226,67 +205,4 @@ def energy_roofline(arch: ArchSpec, ai_ratios: dict[int, float]) -> EnergyRoofli
         e_op=e_op,
         terms=terms,
         level_names={lvl.level_index: lvl.name for lvl in arch.levels},
-    )
-
-
-def operating_point(
-    arch: ArchSpec,
-    wl: WorkloadSpec,
-    mapping: MappingSpec,
-    ref_level: int | None = None,
-    profile: AccessProfile | None = None,
-    effective_ops: float | None = None,
-    bandwidth_penalty: float = 1.0,
-    overlap: str | None = None,
-) -> OperatingPoint:
-    """Attained (AI, throughput, efficiency) of a mapped workload and
-    its position against both ceilings.
-
-    The attained point can only fall below the roofs; equality holds
-    for a perfectly utilized mapping.  ``effective_ops`` (sparsity)
-    replaces N_op in the attained numerators without changing the
-    schedule.
-    """
-    if profile is None:
-        profile = count_accesses(arch, wl, mapping)
-    ref = ref_level if ref_level is not None else min(DEFAULT_REF_LEVEL, arch.n_levels)
-    ai_ref, ratios = ai_ratios_from_profile(profile, wl, ref, effective_ops)
-    return _place_point(
-        arch, ref, ai_ref,
-        throughput_roofline(arch, ratios, mapping),
-        energy_roofline(arch, ratios),
-        task_latency(arch, wl, profile, overlap, mapping, bandwidth_penalty),
-        float(effective_ops if effective_ops is not None else wl.n_op),
-        task_energy(arch, wl, profile),
-    )
-
-
-def _place_point(
-    arch: ArchSpec,
-    ref: int,
-    ai_ref: float,
-    tp_curve: ThroughputRoofline,
-    e_curve: EnergyRoofline,
-    latency: LatencyResult,
-    n_ops: float,
-    e_task: float,
-) -> OperatingPoint:
-    """``operating_point`` from roofs, latency and energy the caller
-    has already built: n_ops / L_task against the curves at ai_ref."""
-    ops_per_cycle = n_ops / latency.cycles
-    ceiling_tp = tp_curve.value_at(ai_ref)
-    if ops_per_cycle > ceiling_tp * (1.0 + REL_TOL):
-        raise AssertionError(
-            f"attained {ops_per_cycle} ops/cycle exceeds ceiling {ceiling_tp}"
-        )
-    return OperatingPoint(
-        ai_ref=ai_ref,
-        ref_level=ref,
-        ops_per_cycle=ops_per_cycle,
-        attained_throughput=ops_per_cycle * arch.clock,
-        attained_efficiency=n_ops / e_task,
-        throughput_ceiling=ceiling_tp,
-        efficiency_ceiling=e_curve.value_at(ai_ref),
-        throughput_bound=tp_curve.bound_at(ai_ref),
-        energy_bound=e_curve.bound_at(ai_ref),
     )

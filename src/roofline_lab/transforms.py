@@ -189,9 +189,7 @@ def _structured_bits_per_element(data_bits: int, n: int, m: int) -> float:
     return (n * data_bits + n * math.ceil(math.log2(m))) / m
 
 
-def apply_sparsity(
-    arch: ArchSpec, wl: WorkloadSpec, s: SparsityConfig
-) -> tuple[WorkloadSpec, float, SparsityModel]:
+def apply_sparsity(wl: WorkloadSpec, s: SparsityConfig) -> SparsityModel:
     """Effective op count and per-operand traffic scaling.
 
     Only MACs with nonzeros in every sparse input survive, so the
@@ -218,13 +216,11 @@ def apply_sparsity(
 
     effective = float(wl.n_op)
     byte_scale: dict[str, float] = {}
-    new_operands = []
     for op in wl.operands:
         d = s.density.get(op.name, 1.0)
         if op.role != OUTPUT:
             effective *= d
         if op.name not in s.density or s.mode == DENSE:
-            new_operands.append(op)
             continue
         dense_bits = op.precision_bits
         if s.mode == UNSTRUCTURED:
@@ -234,15 +230,12 @@ def apply_sparsity(
         else:
             raise SparsityConfigError(f"unknown sparsity mode {s.mode!r}")
         byte_scale[op.name] = eff_bits / dense_bits
-        new_operands.append(replace(op, density=d))
 
-    new_wl = replace(wl, operands=tuple(new_operands))
-    model = SparsityModel(
+    return SparsityModel(
         effective_ops=effective,
         byte_scale=byte_scale,
         bandwidth_penalty=s.utilization_penalty,
     )
-    return new_wl, effective, model
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +293,6 @@ class ImcArchBundle:
     """
 
     array: ComputeArray
-    row_axis: str
-    col_axis: str
     pinned_operand: str
     reload_cycles_per_tile: int | None
     words_in_per_cycle: int
@@ -318,8 +309,6 @@ def imc_macro_as_arch(m: ImcMacro, weight_operand: str = "W") -> ImcArchBundle:
         reload = math.ceil(m.rows / m.weight_write_rows_per_cycle)
     return ImcArchBundle(
         array=array,
-        row_axis="row",
-        col_axis="col",
         pinned_operand=weight_operand,
         reload_cycles_per_tile=reload,
         words_in_per_cycle=m.rows,

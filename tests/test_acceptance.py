@@ -218,7 +218,7 @@ def test_criterion_7_sparsity_identity_and_direction(fig3_arch):
             mode="unstructured", density={"W": 1.0, "I": 1.0},
             index_bits=0, utilization_penalty=1.0,
         )
-        _, _, identity = apply_sparsity(fig3_arch, wl, identity_cfg)
+        identity = apply_sparsity(wl, identity_cfg)
         same = analyze_mapping(fig3_arch, wl, mapping, label="d",
                                sparsity=identity)
         assert same.n_bytes == dense.n_bytes
@@ -232,14 +232,14 @@ def test_criterion_7_sparsity_identity_and_direction(fig3_arch):
         # 2:4 structured on 8-bit data: (2*8 + 2*2) / (4*8) of dense
         cfg24 = SparsityConfig(mode="structured-NM", density={"W": 0.5},
                                n=2, m=4)
-        _, _, model24 = apply_sparsity(fig3_arch, wl, cfg24)
+        model24 = apply_sparsity(wl, cfg24)
         assert model24.byte_scale["W"] == 0.625
 
         # unstructured, 0.39% dense, 32-bit indices, half bandwidth:
         # both the effective intensity and the attained rate drop
         low_cfg = SparsityConfig(mode="unstructured", density={"W": 0.0039},
                                  index_bits=32, utilization_penalty=0.5)
-        _, _, low = apply_sparsity(fig3_arch, wl, low_cfg)
+        low = apply_sparsity(wl, low_cfg)
         sparse = analyze_mapping(fig3_arch, wl, mapping, label="s",
                                  sparsity=low)
         assert sparse.point.ai_ref < dense.point.ai_ref

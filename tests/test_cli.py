@@ -53,6 +53,30 @@ class TestAnalyze:
         code, _ = run("analyze", "--scenario", str(bad))
         assert code == 2
 
+    def test_ai_ref_level_flag_moves_the_reference_level(self):
+        code, out = run("analyze", "--scenario", scenario_arg("gemm_dense.scenario"),
+                        "--ai-ref-level", "3")
+        assert code == 0 and "AI_ref(L3)" in out
+
+    def test_ai_ref_level_outside_the_levels_exits_one(self, capsys):
+        for level in ("7", "0", "-1"):
+            code, _ = run("analyze", "--scenario", scenario_arg("gemm_dense.scenario"),
+                          "--ai-ref-level", level)
+            assert code == 1
+            assert f"reference level {level} is outside" in capsys.readouterr().err
+
+    def test_non_integer_scenario_ref_level_is_a_parse_error(self, tmp_path, capsys):
+        data = json.loads(fixture_path("gemm_dense.scenario").read_text())
+        for key in ("arch", "workload", "mapping"):
+            data[key] = str(fixture_path(data[key]))
+        for bad in ([2], 2.5, 0, True):
+            data["ref_level"] = bad
+            path = tmp_path / "bad_ref.scenario"
+            path.write_text(json.dumps(data))
+            code, _ = run("analyze", "--scenario", str(path))
+            assert code == 2
+            assert "scenario.ref_level" in capsys.readouterr().err
+
     def test_svg_output_marks_the_knee(self, tmp_path):
         code, out = run(
             "analyze", "--scenario", scenario_arg("fig3_ai16.scenario"),

@@ -1,13 +1,17 @@
 """Structural validation: factorization closure, capacity, footprints."""
 
+import pytest
+
 from roofline_lab import (
     ArchSpec,
     ComputeArray,
+    InvalidMappingError,
     LoopDim,
     MappingSpec,
     MemoryLevel,
     OperandSpec,
     WorkloadSpec,
+    analyze_mapping,
     validate,
 )
 from roofline_lab.model import operand_footprint_bytes
@@ -137,3 +141,18 @@ def test_duplicate_axis_and_missing_output_are_caught():
     violations = validate(arch, wl, mapping)
     assert any("output-like" in v for v in violations)
     assert any("more than one spatial entry" in v for v in violations)
+
+
+def test_core_split_wider_than_the_cores_is_a_violation():
+    # a 2-way split on one core: the analysis would count both slices
+    # as parallel and place the point above its own roof
+    arch = make_arch([(4096, 0.1), (2048, 2.0), (1024, 50.0)], dims=(("row", 8), ("col", 8)))
+    wl = gemm(64, 32, 32)
+    mapping = plain_mapping(
+        [[("B", 16), ("C", 4)], [("K", 2)], [("B", 4)]],
+        spatial=[unroll("row", "C", 8), unroll("col", "K", 8)],
+        cores=1, core_split=("K", 2),
+    )
+    assert validate(arch, wl, mapping) == ["core_split factor 2 exceeds cores 1"]
+    with pytest.raises(InvalidMappingError, match="core_split"):
+        analyze_mapping(arch, wl, mapping)

@@ -8,7 +8,7 @@ import pytest
 
 from roofline_lab import (
     MappingSpec,
-    ai_ratios_from_profile,
+    analyze_intensities,
     analyze_mapping,
     energy_roofline,
     operating_point,
@@ -217,12 +217,9 @@ class TestDuality:
     def test_throughput_ceiling_equals_nop_over_latency(self, fig3_arch,
                                                         ref_workload, ai2):
         ai = {1: ai2 / 16, 2: ai2, 3: ai2 * 16}
-        profile = AccessProfile.from_intensities(ref_workload.n_op, ai)
-        ai_ref, ratios = ai_ratios_from_profile(profile, ref_workload, 2)
-        curve = throughput_roofline(fig3_arch, ratios)
-        lat = task_latency(fig3_arch, ref_workload, profile)
-        assert curve.value_at(ai_ref) == pytest.approx(
-            ref_workload.n_op / lat.cycles, rel=REL_TOL
+        r = analyze_intensities(fig3_arch, ref_workload, ai, ref_level=2)
+        assert r.throughput_curve.value_at(r.point.ai_ref) == pytest.approx(
+            ref_workload.n_op / r.latency.cycles, rel=REL_TOL
         )
 
 
@@ -376,6 +373,9 @@ class TestOneLatencyModel:
         assert dict(lat.terms)[lat.limiter] == limiting
         assert r.utilization.temporal == pytest.approx(limiting / lat.cycles, rel=1e-12)
         assert lat.mode == ("serialized" if case.endswith("serialized") else "overlapped")
+        assert p.ai_ref == r.ai[p.ref_level]
+        if r.mapping is not None and r.effective_ops == r.workload.n_op:  # dense mapped
+            assert operating_point(r.arch, r.workload, r.mapping, p.ref_level, lat.mode) == p
 
     def test_serialized_gemm_dense_temporal_utilization(self):
         r = report.run_scenario(_scenario("gemm_dense"), "serialized")

@@ -105,8 +105,8 @@ class TestSparsity:
         cfg = SparsityConfig(mode="unstructured",
                              density={"W": 1.0, "I": 1.0},
                              index_bits=0, utilization_penalty=1.0)
-        wl2, eff, model = apply_sparsity(arch, wl, cfg)
-        assert eff == float(wl.n_op)
+        model = apply_sparsity(wl, cfg)
+        assert model.effective_ops == float(wl.n_op)
         assert all(s == 1.0 for s in model.byte_scale.values())
         assert model.bandwidth_penalty == 1.0
 
@@ -114,24 +114,23 @@ class TestSparsity:
         arch, wl, _ = setup
         cfg = SparsityConfig(mode="structured-NM", density={"W": 0.5},
                              n=2, m=4)
-        _, eff, model = apply_sparsity(arch, wl, cfg)
+        model = apply_sparsity(wl, cfg)
         # per 4-element block: 2 data bytes + 2 * 2 metadata bits
         assert model.byte_scale["W"] == 0.625
-        assert eff == 0.5 * wl.n_op
+        assert model.effective_ops == 0.5 * wl.n_op
 
     def test_intersection_op_count(self, setup):
         arch, wl, _ = setup
         cfg = SparsityConfig(mode="unstructured",
                              density={"W": 0.5, "I": 0.25})
-        _, eff, _ = apply_sparsity(arch, wl, cfg)
-        assert eff == wl.n_op * 0.5 * 0.25
+        assert apply_sparsity(wl, cfg).effective_ops == wl.n_op * 0.5 * 0.25
 
     def test_structured_density_mismatch_is_config_error(self, setup):
         arch, wl, _ = setup
         cfg = SparsityConfig(mode="structured-NM", density={"W": 0.3},
                              n=2, m=4)
         with pytest.raises(SparsityConfigError):
-            apply_sparsity(arch, wl, cfg)
+            apply_sparsity(wl, cfg)
 
     def test_sparse_operand_traffic_ratio_condition(self, setup):
         # the compressed stream beats the dense one exactly when the
@@ -142,7 +141,7 @@ class TestSparsity:
         for d, x in [(0.5, 4), (0.5, 8), (0.5, 12), (0.1, 64), (0.9, 1)]:
             cfg = SparsityConfig(mode="unstructured", density={"W": d},
                                  index_bits=x)
-            _, _, model = apply_sparsity(arch, wl, cfg)
+            model = apply_sparsity(wl, cfg)
             saves = x / b < (1 - d) / d
             assert (model.byte_scale["W"] < 1.0) == saves, (d, x)
 
@@ -154,10 +153,10 @@ class TestSparsity:
         dense_ai = arithmetic_intensity(profile, wl)
         cfg = SparsityConfig(mode="unstructured", density={"W": 0.25},
                              index_bits=16)
-        _, eff, model = apply_sparsity(arch, wl, cfg)
+        model = apply_sparsity(wl, cfg)
         sparse = profile.scaled(model.byte_scale)
         for li in dense_ai:
-            assert eff / sparse.n_bytes[li] < dense_ai[li]
+            assert model.effective_ops / sparse.n_bytes[li] < dense_ai[li]
 
 
 class TestImc:
