@@ -164,6 +164,11 @@ def analyze_intensities(
 ) -> AnalysisResult:
     """Roofline placement from per-level AI alone: no mapping, so full
     spatial and core utilization and the ideal latency."""
+    levels, given = set(range(1, arch.n_levels + 1)), set(ai_per_level)
+    if given != levels:
+        raise ValueError(
+            f"ai_profile levels must be exactly 1..{arch.n_levels}: "
+            f"missing {sorted(levels - given)}, extra {sorted(given - levels)}")
     profile = AccessProfile.from_intensities(wl.n_op, ai_per_level)
     return _evaluate(arch, wl, None, profile, float(wl.n_op), 1.0,
                      label, ref_level, overlap)

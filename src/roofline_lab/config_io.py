@@ -60,12 +60,15 @@ class _Obj:
         return default
 
     def number(self, key: str, required: bool = True, default: Any = None,
-               minimum: float | None = None, strict: bool = False) -> Any:
+               minimum: float | None = None, strict: bool = False,
+               integer: bool = False) -> Any:
         val = self.take(key, required, default)
         if val is None and not required:
             return default
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ParseError(self.path, f"{self.where}.{key}", "expected a number")
+        kinds = int if integer else (int, float)
+        if not isinstance(val, kinds) or isinstance(val, bool):
+            raise ParseError(self.path, f"{self.where}.{key}",
+                             "expected an integer" if integer else "expected a number")
         if minimum is not None and (val <= minimum if strict else val < minimum):
             op = ">" if strict else ">="
             raise ParseError(
@@ -352,12 +355,10 @@ def _parse_transform(path: str | Path, i: int, raw: Any) -> object:
     to = _Obj(path, f"scenario.transforms[{i}]", raw)
     kind = to.take("kind")
     if kind == "quantization":
-        bits_raw = to.take("precision_bits")
-        if not isinstance(bits_raw, dict):
-            raise ParseError(path, f"scenario.transforms[{i}].precision_bits",
-                             "expected an object of operand -> bits")
+        bits = _Obj(path, f"{to.where}.precision_bits", to.take("precision_bits"))
         cfg = QuantConfig(
-            precision_bits={k: int(v) for k, v in bits_raw.items()},
+            precision_bits={k: bits.number(k, minimum=1, integer=True)
+                            for k in list(bits.data)},
             block_size=int(to.number("block_size", required=False, default=1, minimum=1)),
             block_metadata_bits=int(to.number("block_metadata_bits", required=False,
                                               default=0, minimum=0)),
@@ -372,17 +373,13 @@ def _parse_transform(path: str | Path, i: int, raw: Any) -> object:
         to.finish()
         return cfg
     if kind == "sparsity":
-        dens_raw = to.take("density", required=False, default={})
-        if not isinstance(dens_raw, dict):
-            raise ParseError(path, f"scenario.transforms[{i}].density",
-                             "expected an object of operand -> density")
-        n = to.take("n", required=False)
-        m = to.take("m", required=False)
+        dens = _Obj(path, f"{to.where}.density",
+                    to.take("density", required=False, default={}))
         cfg = SparsityConfig(
             mode=str(to.take("mode", required=False, default="dense")),
-            density={k: float(v) for k, v in dens_raw.items()},
-            n=None if n is None else int(n),
-            m=None if m is None else int(m),
+            density={k: float(dens.number(k)) for k in list(dens.data)},
+            n=to.number("n", required=False, minimum=1, integer=True),
+            m=to.number("m", required=False, minimum=1, integer=True),
             index_bits=int(to.number("index_bits", required=False, default=32,
                                      minimum=0)),
             utilization_penalty=to.number("utilization_penalty", required=False,

@@ -1,15 +1,17 @@
 """Brute-force ground truth for the analytic reuse model.
 
-``enumerate_accesses`` walks the mapped loop nest literally, one
-innermost iteration at a time, keeping per (operand, boundary) the
+``enumerate_accesses`` walks the mapped loop nest literally, visiting
+every innermost iteration, keeping per (operand, boundary) the
 loop-counter tuple that identifies the tile resident below that
 boundary.  A fetch event fires whenever the tuple changes; a revisit
 (the same tuple seen again later) marks partially accumulated output
-tiles bouncing across the boundary.  No closed forms: the counts come
-out of the walk, so they can arbitrate the closed-form engine in
-``mapping``.  Tile sizes and element widths are not counts and come
-from the shared ``model.tile_elements`` and
-``mapping.output_bytes_per_element``.
+tiles bouncing across the boundary.  The odometer reports the
+outermost counter each step moved, so only the watchers holding a
+counter at or inside it are re-keyed; every other tuple cannot have
+changed.  No closed forms: the counts come out of the walk, so they
+can arbitrate the closed-form engine in ``mapping``.  Tile sizes and
+element widths are not counts and come from the shared
+``model.tile_elements`` and ``mapping.output_bytes_per_element``.
 
 ``simulate_cycles`` replays the same walk as a discrete pipeline:
 every memory level moves at most B_Li bytes/cycle, the array runs one
@@ -23,6 +25,7 @@ desk-scale oracle, not a simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .mapping import fold_passes, output_bytes_per_element
 from .model import (
@@ -74,7 +77,8 @@ class CycleSimResult:
     n_tiles: int
 
 
-def _check(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec, cap: int) -> None:
+def _check(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec, cap: int) -> int:
+    """Validate the mapping and return its temporal iteration space."""
     violations = validate(arch, wl, mapping)
     if violations:
         raise InvalidMappingError(violations)
@@ -85,6 +89,7 @@ def _check(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec, cap: int) -> 
         raise IterationCapExceeded(
             f"temporal iteration space {space} exceeds oracle cap {cap}"
         )
+    return space
 
 
 class _Walk:
@@ -92,90 +97,98 @@ class _Walk:
 
     def __init__(self, arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec,
                  cap: int, record: bool = False):
-        _check(arch, wl, mapping, cap)
+        self.space = _check(arch, wl, mapping, cap)
         self.wl = wl
         self.mapping = mapping
-        n_levels = arch.n_levels
-        # outermost level's loops outermost; spatial runs as one parallel step
-        nest_inner_first = mapping.nest(n_levels)
-        self.loops = list(reversed(nest_inner_first))  # outermost first
-        self.trips = [t for _, _, t in self.loops]
-        self.boundaries = list(range(1, n_levels + 1))
+        self.boundaries = list(range(1, arch.n_levels + 1))
+        self.record = record
+        # outermost level's loops outermost; spatial runs as one parallel
+        # step.  Only loops with trip > 1 ever move, so the odometer holds
+        # just those: counter j >= 1 is the j-th moving loop, outermost
+        # first, behind a sentinel counter 0 that no step of the walk moves.
+        moving = [(lv, d, t)
+                  for lv, d, t in reversed(mapping.nest(arch.n_levels)) if t > 1]
+        self.trips = [2] + [t for _, _, t in moving]
 
-        # watchers: per (operand, boundary) the counter positions whose
-        # values identify the resident tile
-        self.watchers: list[tuple[str, int, tuple[int, ...]]] = []
+        # watchers: per (operand, boundary) the counters whose values
+        # identify the resident tile, read by one itemgetter (the
+        # sentinel stands in when no moving loop is relevant)
+        self.watchers: list[tuple[str, int]] = []
+        self.tile_keys = []
+        deepest: list[int] = []
         for op in wl.operands:
             rel = op.relevant
             for b in self.boundaries:
-                positions = tuple(
-                    j
-                    for j, (lv, d, _) in enumerate(self.loops)
-                    if lv >= b and d in rel
-                )
-                self.watchers.append((op.name, b, positions))
+                positions = [j for j, (lv, d, _) in enumerate(moving, 1)
+                             if lv >= b and d in rel]
+                self.watchers.append((op.name, b))
+                self.tile_keys.append(itemgetter(*(positions or [0])))
+                deepest.append(max(positions, default=0))
+        # A step whose odometer stopped at counter ``stop`` reset every
+        # counter inside it, so a watcher's tile changed iff its deepest
+        # counter is at or inside ``stop``: moved[stop] lists those
+        # watchers in watcher order.  Before the first step (stop 0)
+        # every watcher fires.
+        self.moved = [[w for w, deep in enumerate(deepest) if deep >= stop]
+                      for stop in range(len(self.trips))]
         # tile tracker: loops at levels >= 2 delimit L1 tiles
-        self.tile_positions = tuple(
-            j for j, (lv, _, _) in enumerate(self.loops) if lv >= 2
-        )
-        self.record = record
+        self.tile_deepest = max(
+            (j for j, (lv, _, _) in enumerate(moving, 1) if lv >= 2), default=0)
 
     def run(self) -> None:
         """Walk the nest once, setting the per-event and per-tile counts."""
-        counters = [0] * len(self.loops)
-        last: dict[tuple[str, int], tuple[int, ...] | None] = {
-            (name, b): None for name, b, _ in self.watchers
-        }
-        seen: dict[tuple[str, int], set[tuple[int, ...]]] = {
-            (name, b): set() for name, b, _ in self.watchers
-        }
-        events = {(b, name): 0 for name, b, _ in self.watchers}
-        revisited = {(b, name): False for name, b, _ in self.watchers}
-        tile_counts: dict[tuple[int, str], list[int]] = {
-            (b, name): [] for name, b, _ in self.watchers
-        }
-        tile_steps: list[int] = []
-        n_tiles = 0
-        last_tile: tuple[int, ...] | None = None
+        trips = self.trips
+        moved = self.moved
+        tile_keys = self.tile_keys
+        tile_deepest = self.tile_deepest
+        record = self.record
+        n_watchers = len(self.watchers)
+        counters = [0] * len(trips)
+        innermost = len(trips) - 1
+        seen: list[set] = [set() for _ in range(n_watchers)]
+        revisited = [False] * n_watchers
+        tiles: list[list[int]] = []  # per L1 tile, each watcher's events
+        tile_starts: list[int] = []
+        pending: list[tuple[int, int]] = []
+        stop = 0
+        for cycle in range(self.space):
+            if stop <= tile_deepest:
+                counts = [0] * n_watchers
+                tiles.append(counts)
+                tile_starts.append(cycle)
+            for w in moved[stop]:
+                counts[w] += 1
+                # revisited is a flag: once set, later tiles change nothing
+                if not revisited[w]:
+                    tid = tile_keys[w](counters)
+                    if tid in seen[w]:
+                        revisited[w] = True
+                    else:
+                        seen[w].add(tid)
+                if record:
+                    pending.append((cycle, w))
+            # odometer: innermost counter is the last entry; only the
+            # carry out of the last step reaches the sentinel
+            stop = innermost
+            while counters[stop] + 1 == trips[stop]:
+                counters[stop] = 0
+                stop -= 1
+            counters[stop] += 1
 
-        total = 1
-        for t in self.trips:
-            total *= t
-        record_pending: list[tuple[int, int, str]] = []
-
-        for cycle in range(total):
-            tile_id = tuple(counters[j] for j in self.tile_positions)
-            if tile_id != last_tile:
-                last_tile = tile_id
-                n_tiles += 1
-                tile_steps.append(0)
-                for key in tile_counts:
-                    tile_counts[key].append(0)
-            tile_steps[-1] += 1
-            for name, b, positions in self.watchers:
-                tid = tuple(counters[j] for j in positions)
-                if tid != last[(name, b)]:
-                    last[(name, b)] = tid
-                    events[(b, name)] += 1
-                    if tid in seen[(name, b)]:
-                        revisited[(b, name)] = True
-                    seen[(name, b)].add(tid)
-                    tile_counts[(b, name)][-1] += 1
-                    if self.record:
-                        record_pending.append((cycle, b, name))
-            # odometer: innermost loop is the last entry
-            for j in range(len(counters) - 1, -1, -1):
-                counters[j] += 1
-                if counters[j] < self.trips[j]:
-                    break
-                counters[j] = 0
-
-        self.events = events
-        self.revisited = revisited
-        self.tile_event_counts = tile_counts
-        self.tile_steps = tile_steps
-        self.n_tiles = n_tiles
-        self._record_pending = record_pending
+        tile_starts.append(self.space)
+        self.tile_steps = [b - a for a, b in zip(tile_starts, tile_starts[1:])]
+        self.n_tiles = len(tiles)
+        self.tile_event_counts = {
+            (b, name): [counts[w] for counts in tiles]
+            for w, (name, b) in enumerate(self.watchers)
+        }
+        self.events = {key: sum(c) for key, c in self.tile_event_counts.items()}
+        self.revisited = {
+            (b, name): revisited[w] for w, (name, b) in enumerate(self.watchers)
+        }
+        self._record_pending = [
+            (cycle, self.watchers[w][1], self.watchers[w][0]) for cycle, w in pending
+        ]
 
     def event_bytes(self) -> dict[tuple[int, str], float]:
         """Bytes per single event, fixed per (boundary, operand)."""

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import roofline_lab
 
 from roofline_lab.cli import main
@@ -76,6 +78,21 @@ class TestAnalyze:
             code, _ = run("analyze", "--scenario", str(path))
             assert code == 2
             assert "scenario.ref_level" in capsys.readouterr().err
+
+    def test_ai_profile_must_cover_exactly_the_levels(self, tmp_path, capsys):
+        data = json.loads(fixture_path("fig3_ai16.scenario").read_text())
+        for key in ("arch", "workload"):
+            data[key] = str(fixture_path(data[key]))
+        for profile, named in (({"1": 1.0, "2": 16.0}, "missing [3], extra []"),
+                               ({"1": 1.0, "2": 16.0, "3": 256.0, "5": 9.0},
+                                "missing [], extra [5]")):
+            data["ai_profile"] = profile
+            path = tmp_path / "short_ai.scenario"
+            path.write_text(json.dumps(data))
+            code, _ = run("analyze", "--scenario", str(path))
+            err = capsys.readouterr().err
+            assert code == 1 and "Traceback" not in err
+            assert f"ai_profile levels must be exactly 1..3: {named}" in err
 
     def test_svg_output_marks_the_knee(self, tmp_path):
         code, out = run(
@@ -254,6 +271,40 @@ class TestTransformChains:
         assert code == 0
         rows = out.strip().splitlines()
         assert len(rows) == 2 and rows[1].startswith("A_op,32,gemm-dense,")
+
+
+class TestTransformParsing:
+    """Each transform map value is checked as a number by the parser."""
+
+    @pytest.mark.parametrize("transform, field, message", [
+        ({"density": {"W": [0.5]}}, "density.W", "expected a number"),
+        ({"density": {"W": "half"}}, "density.W", "expected a number"),
+        ({"density": [0.5]}, "density", "expected an object"),
+        ({"n": "two"}, "n", "expected an integer"),
+        ({"m": 2.5}, "m", "expected an integer"),
+        ({"m": 0}, "m", "must be >= 1"),
+        ({"kind": "quantization", "precision_bits": {"W": [4]}},
+         "precision_bits.W", "expected an integer"),
+        ({"kind": "quantization", "precision_bits": {"W": 0}},
+         "precision_bits.W", "must be >= 1"),
+        ({"kind": "quantization", "precision_bits": {"W": 4.5}},
+         "precision_bits.W", "expected an integer"),
+    ])
+    def test_bad_value_is_a_parse_error_naming_the_field(
+            self, tmp_path, capsys, transform, field, message):
+        data = json.loads(fixture_path("gemm_2to4.scenario").read_text())
+        for key in ("arch", "workload", "mapping"):
+            data[key] = str(fixture_path(data[key]))
+        if transform.get("kind") == "quantization":
+            data["transforms"] = [transform]
+        else:
+            data["transforms"][0].update(transform)
+        path = tmp_path / "bad_transform.scenario"
+        path.write_text(json.dumps(data))
+        code, _ = run("analyze", "--scenario", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"scenario.transforms[0].{field}: {message}" in err
 
 
 class TestCompare:

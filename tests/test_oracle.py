@@ -1,7 +1,12 @@
-"""The enumeration oracle itself: hand-pinned counts, determinism,
-caps, the trace dump format, and the cycle simulator."""
+"""The enumeration oracle itself: hand-pinned counts and event order,
+determinism, caps, the trace dump format, the cycle simulator, and
+generated nests held equal to the closed forms."""
+
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roofline_lab import (
     IterationCapExceeded,
@@ -12,11 +17,26 @@ from roofline_lab import (
     task_latency,
 )
 
-from conftest import gemm, make_arch, plain_mapping, unroll
+from conftest import conv7, gemm, make_arch, plain_mapping, unroll
 
 
 def single_level():
     return make_arch([(64, 0.1)])
+
+
+# cycle,level,operand,bytes of every event of the 2x2x2 nest b,k,c:
+# W and I on every step, O (at accumulator width) on every other
+# step, in operand order
+HAND_TRACED_2X2X2 = [
+    "0,1,W,1", "0,1,I,1", "0,1,O,4",
+    "1,1,W,1", "1,1,I,1",
+    "2,1,W,1", "2,1,I,1", "2,1,O,4",
+    "3,1,W,1", "3,1,I,1",
+    "4,1,W,1", "4,1,I,1", "4,1,O,4",
+    "5,1,W,1", "5,1,I,1",
+    "6,1,W,1", "6,1,I,1", "6,1,O,4",
+    "7,1,W,1", "7,1,I,1",
+]
 
 
 class TestEnumeration:
@@ -27,10 +47,42 @@ class TestEnumeration:
         arch = single_level()
         wl = gemm(2, 2, 2)
         mapping = plain_mapping([[("C", 2), ("K", 2), ("B", 2)]])
-        trace = enumerate_accesses(arch, wl, mapping)
+        trace = enumerate_accesses(arch, wl, mapping, record_events=True)
         assert trace.events[(1, "W")] == 8
         assert trace.events[(1, "I")] == 8
         assert trace.events[(1, "O")] == 4
+        assert trace.dump_lines() == HAND_TRACED_2X2X2
+
+    def test_trip_one_innermost_loop_changes_nothing(self):
+        # a filler loop of trip 1 never moves, so the walk, its event
+        # order and its cycle numbers are those of the nest without it
+        arch = single_level()
+        wl = gemm(2, 2, 2)
+        mapping = plain_mapping([[("K", 1), ("C", 2), ("K", 2), ("B", 2)]])
+        trace = enumerate_accesses(arch, wl, mapping, record_events=True)
+        assert trace.dump_lines() == HAND_TRACED_2X2X2
+        assert simulate_cycles(arch, wl, mapping).n_tiles == 1
+
+    def test_watcher_without_a_moving_loop_fetches_once(self):
+        # C and K run on the array and their temporal loops have trip 1,
+        # so no loop that indexes W ever moves: W is fetched on the
+        # first step only, while I and O follow B
+        arch = make_arch([(64, 0.1), (16, 1.0)], dims=(("row", 2), ("col", 2)))
+        wl = gemm(4, 2, 2)
+        mapping = plain_mapping(
+            [[("C", 1), ("B", 2)], [("K", 1), ("B", 2)]],
+            spatial=(unroll("row", "C", 2), unroll("col", "K", 2)),
+        )
+        trace = enumerate_accesses(arch, wl, mapping, record_events=True)
+        for b in (1, 2):
+            assert trace.events[(b, "W")] == 1
+            assert [r.cycle for r in trace.records
+                    if r.operand == "W" and r.level == b] == [0]
+        assert trace.events[(1, "I")] == trace.events[(1, "O")] == 4
+        assert trace.events[(2, "I")] == trace.events[(2, "O")] == 2
+        profile = count_accesses(arch, wl, mapping)
+        for key, t in profile.traffic.items():
+            assert trace.events[key] == t.events, key
 
     def test_operand_with_all_loops_below_fetches_once(self):
         arch = make_arch([(64, 0.1), (16, 1.0)])
@@ -155,3 +207,69 @@ class TestCycleSimulation:
         n2 = profile.n_bytes[2]
         sim = simulate_cycles(arch, wl, mapping, overlap=True)
         assert sim.cycles == pytest.approx(n2 / 0.25, rel=0.02)
+
+
+# ---------------------------------------------------------------------------
+# generated nests
+
+GEMM_DIMS = ("B", "C", "K")
+CONV_DIMS = ("B", "K", "C", "OY", "OX", "FY", "FX")
+
+
+@st.composite
+def nests(draw):
+    """A valid (arch, workload, mapping, per-level trips) of 1-4 levels:
+    a GEMM or 7-dim conv whose dim sizes follow from the mapping, with
+    trip-1 filler loops, spatial unrolls (some folding the array) and
+    optionally a pinned W with a reload cost."""
+    conv = draw(st.booleans())
+    dims = CONV_DIMS if conv else GEMM_DIMS
+    n_levels = draw(st.integers(1, 4))
+    rows, cols = draw(st.sampled_from((2, 4))), draw(st.sampled_from((2, 4)))
+    arch = make_arch([(2.0 ** (6 - i), 0.1 * 4**i) for i in range(n_levels)],
+                     dims=(("row", rows), ("col", cols)))
+    level = st.integers(1, n_levels)
+    moving = draw(st.lists(st.tuples(level, st.sampled_from(dims), st.sampled_from((2, 3))),
+                           min_size=1, max_size=6))
+    fillers = draw(st.lists(st.tuples(level, st.sampled_from(dims), st.just(1)),
+                            max_size=3))
+    temporal = []
+    for li in range(1, n_levels + 1):
+        loops = [(d, t) for lv, d, t in moving + fillers if lv == li]
+        temporal.append(draw(st.permutations(loops)))
+    spatial = []
+    for axis, size, d in zip(("row", "col"), (rows, cols),
+                             draw(st.lists(st.sampled_from(dims), min_size=2,
+                                           max_size=2, unique=True))):
+        factor = draw(st.sampled_from((1, size // 2, size, 2 * size)))
+        if factor > 1:
+            spatial.append(unroll(axis, d, factor))
+    size = {d: 1 for d in dims}
+    for u in spatial:
+        size[u.dim] *= u.factor
+    for _, d, t in moving:
+        size[d] *= t
+    wl = conv7(*(size[d] for d in CONV_DIMS)) if conv else gemm(*(size[d] for d in GEMM_DIMS))
+    pinned = draw(st.booleans())
+    mapping = plain_mapping(
+        temporal, spatial=spatial,
+        pinned_operand="W" if pinned else None,
+        reload_cycles_per_tile=draw(st.sampled_from((None, 4))) if pinned else None,
+    )
+    return arch, wl, mapping, temporal
+
+
+class TestGeneratedNests:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(nests())
+    def test_walk_agrees_with_the_closed_forms(self, nest):
+        arch, wl, mapping, temporal = nest
+        profile = count_accesses(arch, wl, mapping)
+        trace = enumerate_accesses(arch, wl, mapping)
+        assert trace.events == {k: t.events for k, t in profile.traffic.items()}
+        assert trace.bytes == {k: t.bytes for k, t in profile.traffic.items()}
+        # loops at levels >= 2 delimit the L1 tiles
+        upper_trips = math.prod(t for loops in temporal[1:] for _, t in loops)
+        assert simulate_cycles(arch, wl, mapping).n_tiles == upper_trips
+        serialized = simulate_cycles(arch, wl, mapping, overlap=False)
+        assert serialized.cycles == sum(serialized.busy.values())
