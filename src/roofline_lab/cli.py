@@ -89,6 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once per process, at import: parse_args keeps no state on the
+# parser, so repeated main() calls share it.
+_PARSER = _build_parser()
+
+
 def _load_triple(args) -> tuple:
     if not (args.arch and args.workload and args.mapping):
         raise ParseError("<args>", "arguments",
@@ -214,8 +219,7 @@ def _cmd_oracle_check(args, stdout) -> int:
 
 def main(argv: list[str] | None = None, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "analyze": _cmd_analyze,
         "sweep": _cmd_sweep,

@@ -115,7 +115,8 @@ def parse_arch(path: str | Path) -> ArchSpec:
     array = ComputeArray(
         dims=tuple(dims),
         energy_per_op=arr.number("energy_per_op", minimum=0.0),
-        ops_per_mac=int(arr.number("ops_per_mac", required=False, default=2, minimum=1)),
+        ops_per_mac=arr.number("ops_per_mac", required=False, default=2, minimum=1,
+                               integer=True),
         throughput_scale=arr.number("throughput_scale", required=False, default=1.0,
                                     minimum=0.0, strict=True),
     )
@@ -125,20 +126,26 @@ def parse_arch(path: str | Path) -> ArchSpec:
     if not isinstance(levels_raw, list) or not levels_raw:
         raise ParseError(path, "arch.levels", "expected a non-empty list")
     levels = []
+    first_named: dict[str, int] = {}  # level name -> its first index
     for i, lr in enumerate(levels_raw):
         lo = _Obj(path, f"arch.levels[{i}]", lr)
-        name = lo.take("name")
+        name = str(lo.take("name"))
+        if name in first_named:
+            raise ParseError(path, f"arch.levels[{i}].name",
+                             f"duplicate level name {name!r} "
+                             f"(also arch.levels[{first_named[name]}])")
+        first_named[name] = i
         cap = lo.take("capacity", required=False)
         if cap is not None and (not isinstance(cap, int) or cap <= 0):
             raise ParseError(path, f"arch.levels[{i}].capacity",
                              "must be a positive integer or null")
         levels.append(MemoryLevel(
-            name=str(name),
+            name=name,
             bandwidth=lo.number("bandwidth", minimum=0.0, strict=True),
             energy_per_byte=lo.number("energy_per_byte", minimum=0.0),
             capacity=cap,
-            level_index=int(lo.number("level_index", required=False, default=i + 1,
-                                      minimum=1)),
+            level_index=lo.number("level_index", required=False, default=i + 1,
+                                  minimum=1, integer=True),
         ))
         lo.finish()
 
@@ -151,8 +158,8 @@ def parse_arch(path: str | Path) -> ArchSpec:
         levels=tuple(levels),
         clock=root.number("clock", minimum=0.0, strict=True),
         latency_overlap=overlap,
-        base_precision_bits=int(root.number("base_precision_bits", required=False,
-                                            default=8, minimum=1)),
+        base_precision_bits=root.number("base_precision_bits", required=False,
+                                        default=8, minimum=1, integer=True),
     )
     root.finish()
     return arch
@@ -226,8 +233,8 @@ def parse_workload(path: str | Path) -> WorkloadSpec:
             name=str(oo.take("name")),
             role=role,
             relevant_dims=tuple(rel),
-            precision_bits=int(oo.number("precision_bits", required=False, default=8,
-                                         minimum=1)),
+            precision_bits=oo.number("precision_bits", required=False, default=8,
+                                     minimum=1, integer=True),
             density=density,
             accum_bits=accum,
             bytes_per_element=bpe,
@@ -270,7 +277,7 @@ def parse_mapping(path: str | Path) -> MappingSpec:
         spatial.append(SpatialUnroll(
             axis=str(so.take("axis")),
             dim=str(so.take("dim")),
-            factor=int(so.number("factor", minimum=1)),
+            factor=so.number("factor", minimum=1, integer=True),
         ))
         so.finish()
 
@@ -311,7 +318,7 @@ def parse_mapping(path: str | Path) -> MappingSpec:
     mapping = MappingSpec(
         spatial=tuple(spatial),
         temporal=tuple(temporal),
-        cores=int(root.number("cores", required=False, default=1, minimum=1)),
+        cores=root.number("cores", required=False, default=1, minimum=1, integer=True),
         core_split=core_split,
         pinned_operand=pinned,
         reload_cycles_per_tile=reload_raw,
@@ -359,9 +366,10 @@ def _parse_transform(path: str | Path, i: int, raw: Any) -> object:
         cfg = QuantConfig(
             precision_bits={k: bits.number(k, minimum=1, integer=True)
                             for k in list(bits.data)},
-            block_size=int(to.number("block_size", required=False, default=1, minimum=1)),
-            block_metadata_bits=int(to.number("block_metadata_bits", required=False,
-                                              default=0, minimum=0)),
+            block_size=to.number("block_size", required=False, default=1, minimum=1,
+                                 integer=True),
+            block_metadata_bits=to.number("block_metadata_bits", required=False,
+                                          default=0, minimum=0, integer=True),
             compute_scaling_exponent=to.number("alpha", required=False, default=1.0,
                                                minimum=1.0),
             throughput_scaling_mode=str(to.take("mode", required=False,
@@ -380,8 +388,8 @@ def _parse_transform(path: str | Path, i: int, raw: Any) -> object:
             density={k: float(dens.number(k)) for k in list(dens.data)},
             n=to.number("n", required=False, minimum=1, integer=True),
             m=to.number("m", required=False, minimum=1, integer=True),
-            index_bits=int(to.number("index_bits", required=False, default=32,
-                                     minimum=0)),
+            index_bits=to.number("index_bits", required=False, default=32,
+                                 minimum=0, integer=True),
             utilization_penalty=to.number("utilization_penalty", required=False,
                                           default=1.0, minimum=0.0, strict=True),
         )
@@ -389,18 +397,19 @@ def _parse_transform(path: str | Path, i: int, raw: Any) -> object:
         return cfg
     if kind == "imc":
         macro = ImcMacro(
-            rows=int(to.number("rows", minimum=1)),
-            cols=int(to.number("cols", minimum=1)),
-            input_bits=int(to.number("input_bits", required=False, default=1, minimum=1)),
-            weight_bits=int(to.number("weight_bits", required=False, default=1,
-                                      minimum=1)),
+            rows=to.number("rows", minimum=1, integer=True),
+            cols=to.number("cols", minimum=1, integer=True),
+            input_bits=to.number("input_bits", required=False, default=1, minimum=1,
+                                 integer=True),
+            weight_bits=to.number("weight_bits", required=False, default=1,
+                                  minimum=1, integer=True),
             energy_per_op=to.number("energy_per_op", required=False, default=0.01,
                                     minimum=0.0),
             adc_overhead=to.number("adc_overhead", required=False, default=0.25,
                                    minimum=0.0),
-            weight_write_rows_per_cycle=int(to.number("weight_write_rows_per_cycle",
-                                                      required=False, default=1,
-                                                      minimum=1)),
+            weight_write_rows_per_cycle=to.number("weight_write_rows_per_cycle",
+                                                  required=False, default=1,
+                                                  minimum=1, integer=True),
             reload_overlapped=bool(to.take("reload_overlapped", required=False,
                                            default=False)),
         )

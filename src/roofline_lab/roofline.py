@@ -78,7 +78,7 @@ class RooflineCurve:
         knee_ais = [ai for ai, _ in self.knees]
         span = knee_ais or [1.0]
         grid = _sample_grid(min(span) / 100.0, max(span) * 100.0, knee_ais)
-        return tuple((ai, self.value_at(ai)) for ai in grid)
+        return tuple(zip(grid, map(self.value_at, grid)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class ThroughputRoofline(RooflineCurve):
     def value_at(self, ai_ref: float) -> float:
         if not self.slopes:
             return self.asymptote
-        return min(min(s * ai_ref for s in self.slopes.values()), self.asymptote)
+        return min(min([s * ai_ref for s in self.slopes.values()]), self.asymptote)
 
     def bound_at(self, ai_ref: float) -> str:
         if not self.slopes:
@@ -107,7 +107,7 @@ class EnergyRoofline(RooflineCurve):
     level_names: dict[int, str]
 
     def value_at(self, ai_ref: float) -> float:
-        return 1.0 / (self.e_op + sum(t / ai_ref for t in self.terms.values()))
+        return 1.0 / (self.e_op + sum([t / ai_ref for t in self.terms.values()]))
 
     def memory_share(self, ai_ref: float) -> float:
         """Summed per-level energy terms at this AI, in pJ/op."""
@@ -190,6 +190,11 @@ def energy_roofline(arch: ArchSpec, ai_ratios: dict[int, float]) -> EnergyRoofli
     term equals the compute term, i.e. AI_Li = E_Li/E_op.
     """
     e_op = arch.array.energy_per_op
+    if e_op == 0 and not any(lvl.energy_per_byte for lvl in arch.levels):
+        raise ValueError(
+            "energy_per_op and the energy_per_byte of every level "
+            f"({', '.join(lvl.name for lvl in arch.levels)}) are all 0: "
+            "ops/pJ and the energy roof are undefined")
     terms = {
         lvl.level_index: lvl.energy_per_byte / ai_ratios[lvl.level_index]
         for lvl in arch.levels

@@ -32,9 +32,15 @@ class _LogScale:
         self.out_lo = out_lo
         self.out_hi = out_hi
 
+    def positions(self, values) -> list[float]:
+        """Pixel position of each value, with the scale's constants read
+        once for the whole list."""
+        lo, hi, out_lo, out_hi = self.lo, self.hi, self.out_lo, self.out_hi
+        log10 = math.log10
+        return [out_lo + (log10(v) - lo) / (hi - lo) * (out_hi - out_lo) for v in values]
+
     def __call__(self, v: float) -> float:
-        t = (math.log10(v) - self.lo) / (self.hi - self.lo)
-        return self.out_lo + t * (self.out_hi - self.out_lo)
+        return self.positions((v,))[0]
 
     def decades(self) -> list[int]:
         return list(range(math.ceil(self.lo), math.floor(self.hi) + 1))
@@ -110,11 +116,12 @@ def emit_svg(
 
     for i, (label, curve) in enumerate(curves):
         color = SERIES_COLORS[i % len(SERIES_COLORS)]
-        pts = " ".join(
-            f"{_fmt(sx(ai))},{_fmt(sy(v))}"
-            for ai, v in curve.samples
-            if v > 0 and x_lo <= ai <= x_hi
-        )
+        shown = [(ai, v) for ai, v in curve.samples if v > 0 and x_lo <= ai <= x_hi]
+        xs_px = sx.positions([ai for ai, _ in shown])
+        # a plateau repeats one y: place and format each distinct y once
+        distinct = list(dict.fromkeys([v for _, v in shown]))
+        y_text = dict(zip(distinct, [f"{y:.2f}" for y in sy.positions(distinct)]))
+        pts = " ".join([f"{x:.2f},{y_text[v]}" for x, (_, v) in zip(xs_px, shown)])
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="2"/>'

@@ -94,6 +94,24 @@ class TestAnalyze:
             assert code == 1 and "Traceback" not in err
             assert f"ai_profile levels must be exactly 1..3: {named}" in err
 
+    def test_all_zero_energy_is_an_error_naming_the_fields(self, tmp_path, capsys):
+        arch = json.loads(fixture_path("fig3.arch").read_text())
+        arch["array"]["energy_per_op"] = 0
+        triple = ["--workload", str(fixture_path("gemm.wl")),
+                  "--mapping", str(fixture_path("os_map.map"))]
+        path = tmp_path / "free_compute.arch"
+        path.write_text(json.dumps(arch))
+        code, out = run("analyze", "--arch", str(path), *triple)
+        assert code == 0 and "operating point" in out
+        for level in arch["levels"]:
+            level["energy_per_byte"] = 0
+        path = tmp_path / "free.arch"
+        path.write_text(json.dumps(arch))
+        code, _ = run("analyze", "--arch", str(path), *triple)
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert "energy_per_op and the energy_per_byte of every level (L1, L2, L3)" in err
+
     def test_svg_output_marks_the_knee(self, tmp_path):
         code, out = run(
             "analyze", "--scenario", scenario_arg("fig3_ai16.scenario"),
@@ -289,13 +307,26 @@ class TestTransformParsing:
          "precision_bits.W", "must be >= 1"),
         ({"kind": "quantization", "precision_bits": {"W": 4.5}},
          "precision_bits.W", "expected an integer"),
+        ({"kind": "quantization", "precision_bits": {"W": 4}, "block_size": 2.5},
+         "block_size", "expected an integer"),
+        ({"kind": "quantization", "precision_bits": {"W": 4}, "block_metadata_bits": 8.0},
+         "block_metadata_bits", "expected an integer"),
+        ({"index_bits": 1.5}, "index_bits", "expected an integer"),
+        ({"kind": "imc", "rows": 256.5, "cols": 128}, "rows", "expected an integer"),
+        ({"kind": "imc", "rows": 256, "cols": 128.0}, "cols", "expected an integer"),
+        ({"kind": "imc", "rows": 256, "cols": 128, "input_bits": 1.5},
+         "input_bits", "expected an integer"),
+        ({"kind": "imc", "rows": 256, "cols": 128, "weight_bits": 2.5},
+         "weight_bits", "expected an integer"),
+        ({"kind": "imc", "rows": 256, "cols": 128, "weight_write_rows_per_cycle": 0.5},
+         "weight_write_rows_per_cycle", "expected an integer"),
     ])
     def test_bad_value_is_a_parse_error_naming_the_field(
             self, tmp_path, capsys, transform, field, message):
         data = json.loads(fixture_path("gemm_2to4.scenario").read_text())
         for key in ("arch", "workload", "mapping"):
             data[key] = str(fixture_path(data[key]))
-        if transform.get("kind") == "quantization":
+        if "kind" in transform:
             data["transforms"] = [transform]
         else:
             data["transforms"][0].update(transform)
@@ -328,6 +359,65 @@ class TestCompare:
         assert svg.count('class="point"') == 2
         assert 'data-label="gemm-dense"' in svg
         assert 'data-label="gemm-2to4"' in svg
+
+
+class TestSharedParser:
+    """``main`` reuses the parser built at import; no call leaks into
+    the next."""
+
+    def _calls(self, out_dir):
+        triple = ["--arch", str(fixture_path("fig3.arch")),
+                  "--workload", str(fixture_path("gemm.wl")),
+                  "--mapping", str(fixture_path("os_map.map"))]
+        dense = scenario_arg("gemm_dense.scenario")
+        return [
+            ["analyze", "--scenario", dense],
+            ["analyze", "--scenario", dense, "--format", "svg", "--out-dir", str(out_dir)],
+            ["sweep", "--scenario", dense, "--param", "B_L2", "--values", "8,16"],
+            ["compare", "--scenario", dense, "--scenario", scenario_arg("gemm_2to4.scenario")],
+            ["validate", *triple],
+            ["oracle-check", *triple],
+        ]
+
+    def test_main_does_not_build_a_parser(self, monkeypatch):
+        import roofline_lab.cli as cli
+
+        def forbidden():
+            raise AssertionError("main() built a parser")
+
+        monkeypatch.setattr(cli, "_build_parser", forbidden)
+        assert run("validate", "--arch", str(fixture_path("fig3.arch")),
+                   "--workload", str(fixture_path("gemm.wl")),
+                   "--mapping", str(fixture_path("os_map.map"))) == (0, "valid\n")
+
+    def test_every_verb_run_twice_prints_the_same_bytes(self, tmp_path):
+        for argv in self._calls(tmp_path):
+            first = run(*argv)
+            assert first[0] == 0
+            assert run(*argv) == first
+
+    def test_compare_rows_do_not_accumulate(self):
+        argv = ("compare", "--scenario", scenario_arg("gemm_dense.scenario"),
+                "--scenario", scenario_arg("gemm_2to4.scenario"))
+        for _ in range(2):
+            code, out = run(*argv)
+            assert code == 0 and len(out.strip().splitlines()) == 1 + 2
+
+    def test_ai_ref_level_does_not_carry_over(self):
+        dense = scenario_arg("gemm_dense.scenario")
+        assert "AI_ref(L3)" in run("analyze", "--scenario", dense, "--ai-ref-level", "3")[1]
+        code, out = run("analyze", "--scenario", dense)
+        assert code == 0 and "AI_ref(L2)" in out and "AI_ref(L3)" not in out
+
+    def test_argparse_error_between_calls_changes_nothing(self, tmp_path, capsys):
+        calls = self._calls(tmp_path)
+        before = [run(*argv) for argv in calls]
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--scenario", scenario_arg("gemm_dense.scenario"),
+                  "--format", "pdf"], stdout=io.StringIO())
+        assert exc.value.code == 2
+        assert "invalid choice: 'pdf'" in capsys.readouterr().err
+        assert [run(*argv) for argv in calls] == before
 
 
 def test_cli_import_does_not_load_numpy():

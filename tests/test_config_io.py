@@ -89,6 +89,36 @@ class TestErrors:
         assert "bandwidth" in str(err.value)
         assert "levels[0]" in str(err.value)
 
+    def test_duplicate_level_name_names_the_field(self, tmp_path):
+        data = json.loads(fixture_path("fig3.arch").read_text())
+        data["levels"][2]["name"] = "L1"
+        with pytest.raises(ParseError) as err:
+            parse_arch(self._write(tmp_path, data))
+        assert ("arch.levels[2].name: duplicate level name 'L1' (also arch.levels[0])"
+                in str(err.value))
+
+    @pytest.mark.parametrize("fixture, parse, keys, where", [
+        ("fig3.arch", parse_arch, ("array", "ops_per_mac"), "arch.array.ops_per_mac"),
+        ("fig3.arch", parse_arch, ("levels", 1, "level_index"), "arch.levels[1].level_index"),
+        ("fig3.arch", parse_arch, ("base_precision_bits",), "arch.base_precision_bits"),
+        ("gemm.wl", parse_workload, ("operands", 0, "precision_bits"),
+         "workload.operands[0].precision_bits"),
+        ("os_map.map", parse_mapping, ("spatial", 0, "factor"), "mapping.spatial[0].factor"),
+        ("os_map.map", parse_mapping, ("cores",), "mapping.cores"),
+    ])
+    def test_non_integer_count_is_not_truncated(self, tmp_path, fixture, parse, keys, where):
+        for bad in (2.5, 2.0):
+            data = json.loads(fixture_path(fixture).read_text())
+            target = data
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = bad
+            path = tmp_path / fixture
+            path.write_text(json.dumps(data))
+            with pytest.raises(ParseError) as err:
+                parse(path)
+            assert f"{where}: expected an integer" in str(err.value)
+
     def test_unknown_key_is_an_error(self, tmp_path):
         data = json.loads(fixture_path("fig3.arch").read_text())
         data["frequency"] = 2e9

@@ -2,6 +2,7 @@
 arithmetic on the reference constants."""
 
 import math
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
@@ -194,6 +195,22 @@ class TestSamples:
             emit_svg([("roof", curve)], [], tmp_path / f"{curve.kind}.svg")
             assert "samples" in vars(curve)
             assert all(v == curve.value_at(ai) for ai, v in curve.samples)
+
+    def test_energy_roof_without_compute_energy(self, tmp_path):
+        # no knees and an infinite asymptote: the golden corpus has none
+        loaded = report.apply_sweep_value(_scenario("gemm_dense"), "E_op", 0.0)
+        r = report.run_scenario(loaded)
+        assert r.energy_curve.knees == () and r.energy_curve.asymptote == math.inf
+        charts = [(r.throughput_curve, r.point.ops_per_cycle),
+                  (r.energy_curve, r.point.attained_efficiency)]
+        for curve, attained in charts:
+            assert curve.samples == tuple(
+                (ai, curve.value_at(ai)) for ai, _ in curve.samples)
+            path = tmp_path / f"{curve.kind}.svg"
+            emit_svg([("roof", curve)], [("p", r.point.ai_ref, attained)], path)
+            root = ET.parse(path).getroot()
+            assert root.tag.endswith("svg")
+            assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 1
 
     @pytest.mark.parametrize("ratios", [{1: 1 / 16, 2: 1.0, 3: 16.0},
                                         {1: 1.0, 2: 1.0, 3: 1.0},
