@@ -4,9 +4,8 @@ scenario files.
 One format for everything: JSON, fixed field names, fixed units
 (bytes/cycle, pJ/byte, pJ/op, Hz - values carry no unit suffixes).
 Unknown keys are errors, missing required keys are errors, and scalar
-sanity (positive bandwidth, nonzero sizes, densities in (0,1]) is
-checked at parse time so a bad file is reported with the offending
-field, not three calls later.
+sanity (positive bandwidth, nonzero sizes) is checked at parse time so
+a bad file is reported with the offending field, not three calls later.
 """
 
 from __future__ import annotations
@@ -222,11 +221,6 @@ def parse_workload(path: str | Path) -> WorkloadSpec:
         if not isinstance(rel, list) or not all(isinstance(r, str) for r in rel):
             raise ParseError(path, f"workload.operands[{i}].relevant_dims",
                              "expected a list of dim names")
-        density = oo.number("density", required=False, default=1.0,
-                            minimum=0.0, strict=True)
-        if density > 1.0:
-            raise ParseError(path, f"workload.operands[{i}].density",
-                             "must be <= 1")
         accum = oo.take("accum_bits", required=False)
         bpe = oo.take("bytes_per_element", required=False)
         operands.append(OperandSpec(
@@ -235,7 +229,6 @@ def parse_workload(path: str | Path) -> WorkloadSpec:
             relevant_dims=tuple(rel),
             precision_bits=oo.number("precision_bits", required=False, default=8,
                                      minimum=1, integer=True),
-            density=density,
             accum_bits=accum,
             bytes_per_element=bpe,
         ))
@@ -255,7 +248,6 @@ def workload_to_dict(wl: WorkloadSpec) -> dict:
                 "role": o.role,
                 "relevant_dims": list(o.relevant_dims),
                 "precision_bits": o.precision_bits,
-                "density": o.density,
                 "accum_bits": o.accum_bits,
                 "bytes_per_element": o.bytes_per_element,
             }
@@ -428,9 +420,13 @@ def parse_scenario(path: str | Path) -> Scenario:
         val = root.take(key, required=required)
         if val is None:
             return None
-        return (base / val).resolve() if not Path(val).is_absolute() else Path(val)
+        # joined, not resolved: opening the file resolves ".." and
+        # symlinks, so a realpath here would only add an lstat per component
+        return (base / val).absolute()
 
-    label = str(root.take("label"))
+    label = root.take("label")
+    if not isinstance(label, str):
+        raise ParseError(p, "scenario.label", "expected a string")
     arch_path = resolve("arch", required=True)
     workload_path = resolve("workload", required=True)
     mapping_path = resolve("mapping", required=False)

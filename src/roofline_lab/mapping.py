@@ -42,12 +42,11 @@ from .model import (
     OUTPUT,
     SERIALIZED,
     ArchSpec,
-    InvalidMappingError,
     MappingSpec,
     OperandSpec,
     WorkloadSpec,
     tile_elements,
-    validate,
+    valid_tile_extents,
 )
 
 Loop = tuple[str, int]  # (dim name, trip count)
@@ -174,10 +173,8 @@ def derive_stationarity(wl: WorkloadSpec, mapping: MappingSpec) -> dict[int, str
     declaration order.
     """
     out: dict[int, str | None] = {}
-    for li in range(1, len(mapping.temporal) + 1):
-        innermost = next(
-            (dim for dim, trip in mapping.temporal_at(li) if trip > 1), None
-        )
+    for li, loops in enumerate(mapping.temporal, 1):
+        innermost = next((dim for dim, trip in loops if trip > 1), None)
         if innermost is None:
             out[li] = None
             continue
@@ -210,10 +207,7 @@ def count_accesses(
     its fetch-event count is still reported so reload stalls can be
     derived from it.
     """
-    violations = validate(arch, wl, mapping)
-    if violations:
-        raise InvalidMappingError(violations)
-
+    extents = valid_tile_extents(arch, wl, mapping)
     n_levels = arch.n_levels
     nest = mapping.nest(n_levels)
     levels = range(1, n_levels + 1)
@@ -228,7 +222,7 @@ def count_accesses(
             pending = {li: has_pending_reduction(loops_ge[li], rel) for li in levels}
         for li in levels:
             events = fetch_events(loops_ge[li], rel)
-            elements = tile_elements(mapping, op, li - 1)
+            elements = tile_elements(extents[li - 1], op)
             if op.role == OUTPUT:
                 factor = 2 if pending[li] else 1
                 bpe = output_bytes_per_element(op, li, pending.get(li - 1, False))

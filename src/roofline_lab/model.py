@@ -132,7 +132,6 @@ class OperandSpec:
     role: str  # INPUT or OUTPUT
     relevant_dims: tuple[str, ...]
     precision_bits: int = 8
-    density: float = 1.0
     accum_bits: int | None = None
     bytes_per_element: float | None = None
 
@@ -239,27 +238,9 @@ class MappingSpec:
 
     def nest(self, n_levels: int) -> tuple[tuple[int, str, int], ...]:
         """The full temporal nest as (level, dim, trip), innermost first."""
-        out: list[tuple[int, str, int]] = []
-        for li in range(1, n_levels + 1):
-            for dim, trip in self.temporal_at(li):
-                out.append((li, dim, trip))
-        return tuple(out)
-
-    def spatial_factor(self, dim: str) -> int:
-        """Product of array-axis unroll factors applied to ``dim``."""
-        f = 1
-        for u in self.spatial:
-            if u.dim == dim:
-                f *= u.factor
-        return f
-
-    def parallel_factor(self, dim: str) -> int:
-        """Spatial unrolls times the core split, i.e. everything that
-        widens a dim within one cycle."""
-        f = self.spatial_factor(dim)
-        if self.core_split is not None and self.core_split[0] == dim:
-            f *= self.core_split[1]
-        return f
+        return tuple((li, dim, trip)
+                     for li, loops in enumerate(self.temporal[:n_levels], 1)
+                     for dim, trip in loops)
 
 
 class InvalidMappingError(ValueError):
@@ -270,28 +251,38 @@ class InvalidMappingError(ValueError):
         super().__init__("; ".join(violations))
 
 
-def tile_elements(mapping: MappingSpec, operand: OperandSpec, up_to_level: int) -> int:
-    """Elements of one ``operand`` tile at ``up_to_level``.
+def tile_extents(mapping: MappingSpec, n_levels: int) -> list[dict[str, int]]:
+    """Extent of every dim in one tile at each level 0..``n_levels``.
 
-    Each relevant dim spans all its parallel factors times its temporal
-    trips at levels <= ``up_to_level``; this is the tile a level serves
-    to the levels below it.
+    Row 0 is one parallel step: the spatial unrolls times the core
+    split.  Row i multiplies in the temporal trips at levels <= i; it
+    is the tile level i serves to the levels below it.  A dim the
+    mapping never names spans 1 and has no entry.  Levels without
+    loops share the row below them.
     """
-    loops = [loop for level in mapping.temporal[:up_to_level] for loop in level]
+    row: dict[str, int] = {}
+    for u in mapping.spatial:
+        row[u.dim] = row.get(u.dim, 1) * u.factor
+    if mapping.core_split is not None:
+        dim, factor = mapping.core_split
+        row[dim] = row.get(dim, 1) * factor
+    rows = [row]
+    for loops in mapping.temporal[:n_levels]:
+        row = dict(row)
+        for dim, trip in loops:
+            row[dim] = row.get(dim, 1) * trip
+        rows.append(row)
+    rows += [row] * (n_levels + 1 - len(rows))
+    return rows
+
+
+def tile_elements(extents: dict[str, int], operand: OperandSpec) -> int:
+    """Elements of one ``operand`` tile whose dims span ``extents``
+    (one row of ``tile_extents``)."""
     elements = 1
     for dim in operand.relevant_dims:
-        elements *= mapping.parallel_factor(dim)
-        for d, trip in loops:
-            if d == dim:
-                elements *= trip
+        elements *= extents.get(dim, 1)
     return elements
-
-
-def operand_footprint_bytes(
-    wl: WorkloadSpec, mapping: MappingSpec, operand: OperandSpec, level_index: int
-) -> int:
-    """Tile footprint of one operand at a level, in whole bytes."""
-    return tile_elements(mapping, operand, level_index) * math.ceil(operand.precision_bits / 8)
 
 
 def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str]:
@@ -301,6 +292,27 @@ def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str
     per broken invariant, including capacity overflows (tile footprint
     summed over operands exceeding a bounded level).
     """
+    return _check(arch, wl, mapping)[0]
+
+
+def valid_tile_extents(
+    arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec
+) -> list[dict[str, int]]:
+    """The ``tile_extents`` table of a valid mapping, built once while
+    validating it; raises ``InvalidMappingError`` with every violation
+    otherwise."""
+    violations, extents = _check(arch, wl, mapping)
+    if violations:
+        raise InvalidMappingError(violations)
+    return extents
+
+
+def _check(
+    arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec
+) -> tuple[list[str], list[dict[str, int]]]:
+    """``validate``'s violations plus the extent table its closure and
+    capacity checks read, with a row per level of the architecture or
+    of the mapping, whichever has more."""
     v: list[str] = []
 
     # -- architecture field invariants
@@ -325,25 +337,24 @@ def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str
             v.append(f"array axis {axis}: size must be >= 1")
 
     # -- workload invariants
-    names = [d.name for d in wl.dims]
-    if len(set(names)) != len(names):
-        v.append(f"duplicate loop dim names in workload: {names}")
-    dimset = set(names)
+    sizes = wl.dim_sizes
+    if len(sizes) != len(wl.dims):
+        v.append(f"duplicate loop dim names in workload: {[d.name for d in wl.dims]}")
+    relevant: set[str] = set()
     for op in wl.operands:
-        extra = set(op.relevant_dims) - dimset
+        relevant.update(op.relevant_dims)
+        extra = set(op.relevant_dims) - sizes.keys()
         if extra:
             v.append(f"operand {op.name}: relevant dims {sorted(extra)} not in workload")
         if op.precision_bits < 1:
             v.append(f"operand {op.name}: precision_bits must be >= 1")
-        if not (0 < op.density <= 1):
-            v.append(f"operand {op.name}: density must be in (0, 1]")
     n_outputs = sum(1 for op in wl.operands if op.role == OUTPUT)
     if n_outputs != 1:
         v.append(f"workload must have exactly one output-like operand (got {n_outputs})")
     for d in wl.dims:
         if d.size < 1:
             v.append(f"dim {d.name}: size must be >= 1")
-        if not any(d.name in op.relevant_dims for op in wl.operands):
+        if d.name not in relevant:
             v.append(f"dim {d.name} is relevant to no operand")
 
     # -- mapping invariants
@@ -353,7 +364,7 @@ def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str
     for u in mapping.spatial:
         if u.axis not in axis_names:
             v.append(f"spatial unroll targets unknown array axis {u.axis!r}")
-        if u.dim not in dimset:
+        if u.dim not in sizes:
             v.append(f"spatial unroll of unknown dim {u.dim!r}")
         if u.axis in seen_axes:
             v.append(f"array axis {u.axis} mapped by more than one spatial entry")
@@ -361,10 +372,10 @@ def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str
         if (u.axis, u.dim) in seen_pairs:
             v.append(f"duplicate spatial unroll for (axis {u.axis}, dim {u.dim})")
         seen_pairs.add((u.axis, u.dim))
-        if u.dim in dimset and u.factor > wl.dim_sizes[u.dim]:
+        if u.dim in sizes and u.factor > sizes[u.dim]:
             v.append(
                 f"spatial unroll of {u.dim} by {u.factor} exceeds dim size "
-                f"{wl.dim_sizes[u.dim]}"
+                f"{sizes[u.dim]}"
             )
     if mapping.cores < 1:
         v.append(f"cores must be >= 1 (got {mapping.cores})")
@@ -373,15 +384,15 @@ def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str
             f"mapping tiles {len(mapping.temporal)} levels but the "
             f"architecture has {len(arch.levels)}"
         )
-    for li in range(1, len(mapping.temporal) + 1):
-        for dim, trip in mapping.temporal_at(li):
-            if dim not in dimset:
+    for li, loops in enumerate(mapping.temporal, 1):
+        for dim, trip in loops:
+            if dim not in sizes:
                 v.append(f"temporal loop over unknown dim {dim!r} at L{li}")
             if trip < 1:
                 v.append(f"temporal trip count for {dim} at L{li} must be >= 1")
     if mapping.core_split is not None:
         cd, cf = mapping.core_split
-        if cd not in dimset:
+        if cd not in sizes:
             v.append(f"core split names unknown dim {cd!r}")
         if cf < 1:
             v.append(f"core split factor must be >= 1 (got {cf})")
@@ -394,12 +405,10 @@ def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str
         v.append("reload_cycles_per_tile requires a pinned operand")
 
     # -- factorization closure: spatial x temporal x core == dim size, per dim
+    extents = tile_extents(mapping, max(arch.n_levels, len(mapping.temporal)))
+    top = extents[-1]
     for d in wl.dims:
-        product = mapping.parallel_factor(d.name)
-        for li in range(1, len(mapping.temporal) + 1):
-            for dim, trip in mapping.temporal_at(li):
-                if dim == d.name:
-                    product *= trip
+        product = top.get(d.name, 1)
         if product != d.size:
             v.append(
                 f"dim {d.name}: spatial x temporal x core product {product} "
@@ -410,8 +419,9 @@ def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str
     for lvl in arch.levels:
         if lvl.capacity is None:
             continue
+        row = extents[len(mapping.temporal[:lvl.level_index])]  # loops up to lvl
         total = sum(
-            operand_footprint_bytes(wl, mapping, op, lvl.level_index)
+            tile_elements(row, op) * math.ceil(op.precision_bits / 8)
             for op in wl.operands
         )
         if total > lvl.capacity:
@@ -420,4 +430,4 @@ def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str
                 f"{lvl.capacity} B"
             )
 
-    return v
+    return v, extents

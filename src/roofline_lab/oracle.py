@@ -10,8 +10,9 @@ outermost counter each step moved, so only the watchers holding a
 counter at or inside it are re-keyed; every other tuple cannot have
 changed.  No closed forms: the counts come out of the walk, so they
 can arbitrate the closed-form engine in ``mapping``.  Tile sizes and
-element widths are not counts and come from the shared
-``model.tile_elements`` and ``mapping.output_bytes_per_element``.
+element widths are not counts and come from the extent table built
+while validating the mapping (``model.tile_extents``, which the closed
+forms read too) and ``mapping.output_bytes_per_element``.
 
 ``simulate_cycles`` replays the same walk as a discrete pipeline:
 every memory level moves at most B_Li bytes/cycle, the array runs one
@@ -24,6 +25,7 @@ desk-scale oracle, not a simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -31,11 +33,10 @@ from .mapping import fold_passes, output_bytes_per_element
 from .model import (
     OUTPUT,
     ArchSpec,
-    InvalidMappingError,
     MappingSpec,
     WorkloadSpec,
     tile_elements,
-    validate,
+    valid_tile_extents,
 )
 
 DEFAULT_CAP = 2**20
@@ -77,27 +78,18 @@ class CycleSimResult:
     n_tiles: int
 
 
-def _check(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec, cap: int) -> int:
-    """Validate the mapping and return its temporal iteration space."""
-    violations = validate(arch, wl, mapping)
-    if violations:
-        raise InvalidMappingError(violations)
-    space = 1
-    for _, _, trip in mapping.nest(arch.n_levels):
-        space *= trip
-    if space > cap:
-        raise IterationCapExceeded(
-            f"temporal iteration space {space} exceeds oracle cap {cap}"
-        )
-    return space
-
-
 class _Walk:
     """Shared literal walk over the temporal nest."""
 
     def __init__(self, arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec,
                  cap: int, record: bool = False):
-        self.space = _check(arch, wl, mapping, cap)
+        self.extents = valid_tile_extents(arch, wl, mapping)  # for event_bytes
+        nest = mapping.nest(arch.n_levels)
+        self.space = math.prod(t for _, _, t in nest)
+        if self.space > cap:
+            raise IterationCapExceeded(
+                f"temporal iteration space {self.space} exceeds oracle cap {cap}"
+            )
         self.wl = wl
         self.mapping = mapping
         self.boundaries = list(range(1, arch.n_levels + 1))
@@ -106,8 +98,7 @@ class _Walk:
         # step.  Only loops with trip > 1 ever move, so the odometer holds
         # just those: counter j >= 1 is the j-th moving loop, outermost
         # first, behind a sentinel counter 0 that no step of the walk moves.
-        moving = [(lv, d, t)
-                  for lv, d, t in reversed(mapping.nest(arch.n_levels)) if t > 1]
+        moving = [(lv, d, t) for lv, d, t in reversed(nest) if t > 1]
         self.trips = [2] + [t for _, _, t in moving]
 
         # watchers: per (operand, boundary) the counters whose values
@@ -195,7 +186,7 @@ class _Walk:
         out: dict[tuple[int, str], float] = {}
         for op in self.wl.operands:
             for b in self.boundaries:
-                elements = tile_elements(self.mapping, op, b - 1)
+                elements = tile_elements(self.extents[b - 1], op)
                 if op.role == OUTPUT:
                     factor = 2 if self.revisited[(b, op.name)] else 1
                     bpe = output_bytes_per_element(

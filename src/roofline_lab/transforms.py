@@ -100,6 +100,9 @@ def apply_quantization(
     so effective peak ops/cycle is base/(N_w + overhead) of nominal.
     Activations below the native width are not supported there.
     """
+    if not any(op.name == q.weight_operand for op in wl.operands):
+        raise UnsupportedConfigError(f"weight_operand {q.weight_operand!r} names no "
+                                     f"operand of workload {wl.name!r}")
     base = arch.base_precision_bits
     w_bits = q.precision_bits.get(q.weight_operand, base)
     if q.compute_scaling_exponent < 1:

@@ -112,6 +112,43 @@ class TestAnalyze:
         assert code == 1 and "Traceback" not in err
         assert "energy_per_op and the energy_per_byte of every level (L1, L2, L3)" in err
 
+    def test_operand_density_is_an_unknown_key(self, tmp_path, capsys):
+        data = json.loads(fixture_path("gemm.wl").read_text())
+        data["operands"][1]["density"] = 0.5
+        path = tmp_path / "dense.wl"
+        path.write_text(json.dumps(data))
+        code, _ = run("analyze", "--arch", str(fixture_path("fig3.arch")),
+                      "--workload", str(path), "--mapping", str(fixture_path("os_map.map")))
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "workload.operands[1]: unknown keys: ['density']" in err
+
+    def test_non_string_label_is_a_parse_error(self, tmp_path, capsys):
+        data = json.loads(fixture_path("gemm_dense.scenario").read_text())
+        for key in ("arch", "workload", "mapping"):
+            data[key] = str(fixture_path(data[key]))
+        for bad in (7, ["gemm"], None):
+            data["label"] = bad
+            path = tmp_path / "bad_label.scenario"
+            path.write_text(json.dumps(data))
+            code, _ = run("analyze", "--scenario", str(path))
+            err = capsys.readouterr().err
+            assert code == 2 and "Traceback" not in err
+            assert "scenario.label: expected a string" in err
+
+    def test_unknown_weight_operand_is_an_error_naming_it(self, tmp_path, capsys):
+        data = json.loads(fixture_path("gemm_dense.scenario").read_text())
+        for key in ("arch", "workload", "mapping"):
+            data[key] = str(fixture_path(data[key]))
+        data["transforms"] = [{"kind": "quantization", "precision_bits": {"W": 4},
+                               "weight_operand": "Wt"}]
+        path = tmp_path / "bad_weight.scenario"
+        path.write_text(json.dumps(data))
+        code, _ = run("analyze", "--scenario", str(path))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert "weight_operand 'Wt' names no operand" in err
+
     def test_svg_output_marks_the_knee(self, tmp_path):
         code, out = run(
             "analyze", "--scenario", scenario_arg("fig3_ai16.scenario"),

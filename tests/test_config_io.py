@@ -1,6 +1,7 @@
 """Input parsing: shipped fixtures, round trips, error reporting."""
 
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,7 @@ from roofline_lab.config_io import (
     parse_workload,
     workload_to_dict,
 )
+from roofline_lab.report import load_scenario
 
 
 class TestShippedFixtures:
@@ -157,3 +159,26 @@ class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_arch(tmp_path / "absent.arch")
+
+
+class TestScenarioPaths:
+    def test_dotdot_through_a_symlinked_directory_reads_the_real_parent(self, tmp_path):
+        # real/sub/s.scenario names ../x.arch, and link -> real/sub; a
+        # decoy x.arch sits where a purely lexical ".." would land
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        real = tmp_path / "real" / "x.arch"
+        real.write_text(fixture_path("fig3.arch").read_text())
+        decoy = json.loads(fixture_path("fig3.arch").read_text())
+        decoy["clock"] = 2e9
+        (tmp_path / "x.arch").write_text(json.dumps(decoy))
+        (tmp_path / "real" / "sub" / "s.scenario").write_text(json.dumps({
+            "label": "linked",
+            "arch": "../x.arch",
+            "workload": str(fixture_path("gemm.wl")),
+            "mapping": str(fixture_path("os_map.map")),
+        }))
+        (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+        scenario = parse_scenario(tmp_path / "link" / "s.scenario")
+        assert scenario.arch_path.is_absolute()
+        assert os.path.samefile(scenario.arch_path, real)
+        assert load_scenario(scenario).arch == parse_arch(real)

@@ -12,9 +12,10 @@ from roofline_lab import (
     OperandSpec,
     WorkloadSpec,
     analyze_mapping,
+    enumerate_accesses,
     validate,
 )
-from roofline_lab.model import operand_footprint_bytes
+from roofline_lab.model import tile_elements, tile_extents
 
 from conftest import gemm, make_arch, plain_mapping, unroll
 
@@ -112,10 +113,10 @@ def test_footprint_is_nondecreasing_across_levels():
     mapping = plain_mapping(
         [[("B", 2)], [("C", 4), ("B", 2)], [("K", 4), ("B", 2)]]
     )
+    # a footprint is the tile's elements times a fixed width per operand
+    extents = tile_extents(mapping, 3)
     for op in wl.operands:
-        footprints = [
-            operand_footprint_bytes(wl, mapping, op, li) for li in (1, 2, 3)
-        ]
+        footprints = [tile_elements(extents[li], op) for li in (1, 2, 3)]
         assert footprints == sorted(footprints)
 
 
@@ -156,3 +157,39 @@ def test_core_split_wider_than_the_cores_is_a_violation():
     assert validate(arch, wl, mapping) == ["core_split factor 2 exceeds cores 1"]
     with pytest.raises(InvalidMappingError, match="core_split"):
         analyze_mapping(arch, wl, mapping)
+
+
+def _invalid(nest_by_level, spatial=(), l1_capacity=None, **kw):
+    arch = ArchSpec(
+        array=ComputeArray(dims=(("row", 2), ("col", 2)), energy_per_op=0.5),
+        levels=(MemoryLevel("L1", 8, 0.1, capacity=l1_capacity),
+                MemoryLevel("L2", 4, 1.0, level_index=2)),
+        clock=1e9,
+    )
+    return arch, gemm(4, 4, 4), plain_mapping(nest_by_level, spatial=spatial, **kw)
+
+
+@pytest.mark.parametrize("case, expected", [
+    (_invalid([[("C", 4), ("B", 4)], [("K", 2)]]),
+     ["dim K: spatial x temporal x core product 2 != size 4"]),
+    # L1 tiles: W spans C 4, I spans B 2 x C 4, O spans B 2: 4 + 8 + 2 B
+    (_invalid([[("C", 4)], [("B", 2), ("K", 4)]], spatial=[unroll("row", "B", 2)],
+              l1_capacity=13),
+     ["level L1: tile footprint 14 B exceeds capacity 13 B"]),
+    (_invalid([[("C", 4), ("B", 4)], [("K", 2)]], cores=1, core_split=("K", 2)),
+     ["core_split factor 2 exceeds cores 1"]),
+    (_invalid([[("C", 4), ("B", 4), ("Z", 2)], [("K", 4)]]),
+     ["temporal loop over unknown dim 'Z' at L1"]),
+    (_invalid([[("C", 4)], [("K", 4)]], spatial=[unroll("row", "B", 8)]),
+     ["spatial unroll of B by 8 exceeds dim size 4",
+      "dim B: spatial x temporal x core product 8 != size 4"]),
+], ids=["closure-short-by-one-factor", "capacity-over-by-one-byte",
+        "core-split-wider-than-cores", "temporal-loop-over-unknown-dim",
+        "spatial-factor-above-dim-size"])
+def test_invalid_mapping_messages_are_exact(case, expected):
+    arch, wl, mapping = case
+    assert validate(arch, wl, mapping) == expected
+    for analysis in (analyze_mapping, enumerate_accesses):
+        with pytest.raises(InvalidMappingError) as err:
+            analysis(arch, wl, mapping)
+        assert err.value.violations == expected

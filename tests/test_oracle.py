@@ -2,7 +2,9 @@
 determinism, caps, the trace dump format, the cycle simulator, and
 generated nests held equal to the closed forms."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from roofline_lab import (
     enumerate_accesses,
     simulate_cycles,
     task_latency,
+    validate,
 )
+from roofline_lab.model import tile_elements, tile_extents
 
 from conftest import conv7, gemm, make_arch, plain_mapping, unroll
 
@@ -216,21 +220,32 @@ GEMM_DIMS = ("B", "C", "K")
 CONV_DIMS = ("B", "K", "C", "OY", "OX", "FY", "FX")
 
 
+def footprint_bytes(wl, mapping, level):
+    """Summed whole-byte tiles of every operand at ``level``: each dim
+    spans the product of the unrolls, the core split and the trips at
+    levels <= ``level`` over it."""
+    loops = [(u.dim, u.factor) for u in mapping.spatial]
+    loops += [mapping.core_split] if mapping.core_split else []
+    loops += [loop for lv in mapping.temporal[:level] for loop in lv]
+    return sum(math.prod(t for d, t in loops if d in op.relevant_dims)
+               * math.ceil(op.precision_bits / 8) for op in wl.operands)
+
+
 @st.composite
-def nests(draw):
+def nests(draw, max_moving=6):
     """A valid (arch, workload, mapping, per-level trips) of 1-4 levels:
     a GEMM or 7-dim conv whose dim sizes follow from the mapping, with
-    trip-1 filler loops, spatial unrolls (some folding the array) and
-    optionally a pinned W with a reload cost."""
+    trip-1 filler loops, spatial unrolls (some folding the array), an
+    optional core split over as many or more cores, optionally a
+    pinned W with a reload cost, and some levels bounded at their
+    summed tile footprint or one byte above it."""
     conv = draw(st.booleans())
     dims = CONV_DIMS if conv else GEMM_DIMS
     n_levels = draw(st.integers(1, 4))
     rows, cols = draw(st.sampled_from((2, 4))), draw(st.sampled_from((2, 4)))
-    arch = make_arch([(2.0 ** (6 - i), 0.1 * 4**i) for i in range(n_levels)],
-                     dims=(("row", rows), ("col", cols)))
     level = st.integers(1, n_levels)
     moving = draw(st.lists(st.tuples(level, st.sampled_from(dims), st.sampled_from((2, 3))),
-                           min_size=1, max_size=6))
+                           min_size=1, max_size=max_moving))
     fillers = draw(st.lists(st.tuples(level, st.sampled_from(dims), st.just(1)),
                             max_size=3))
     temporal = []
@@ -244,19 +259,50 @@ def nests(draw):
         factor = draw(st.sampled_from((1, size // 2, size, 2 * size)))
         if factor > 1:
             spatial.append(unroll(axis, d, factor))
+    core_split = draw(st.none() | st.tuples(st.sampled_from(dims), st.sampled_from((2, 3))))
     size = {d: 1 for d in dims}
     for u in spatial:
         size[u.dim] *= u.factor
+    if core_split:
+        size[core_split[0]] *= core_split[1]
     for _, d, t in moving:
         size[d] *= t
     wl = conv7(*(size[d] for d in CONV_DIMS)) if conv else gemm(*(size[d] for d in GEMM_DIMS))
     pinned = draw(st.booleans())
     mapping = plain_mapping(
         temporal, spatial=spatial,
+        cores=core_split[1] + draw(st.integers(0, 1)) if core_split else 1,
+        core_split=core_split,
         pinned_operand="W" if pinned else None,
         reload_cycles_per_tile=draw(st.sampled_from((None, 4))) if pinned else None,
     )
+    arch = make_arch([(2.0 ** (6 - i), 0.1 * 4**i) for i in range(n_levels)],
+                     dims=(("row", rows), ("col", cols)))
+    slack = draw(st.lists(st.sampled_from((None, 0, 1)), min_size=n_levels,
+                          max_size=n_levels))
+    arch = replace(arch, levels=tuple(
+        lvl if extra is None
+        else replace(lvl, capacity=footprint_bytes(wl, mapping, lvl.level_index) + extra)
+        for lvl, extra in zip(arch.levels, slack)))
     return arch, wl, mapping, temporal
+
+
+def brute_force_tile_elements(wl, mapping, level):
+    """Per operand, the distinct index tuples of its relevant dims met
+    by literally enumerating one tile at ``level``: every combination
+    of the unrolls, the core split and the temporal loops at levels <=
+    ``level``, each dim's index a mixed-radix number of its loops."""
+    loops = [(u.dim, u.factor) for u in mapping.spatial]
+    loops += [mapping.core_split] if mapping.core_split else []
+    loops += [loop for lv in mapping.temporal[:level] for loop in lv]
+    seen = {op.name: set() for op in wl.operands}
+    for counters in itertools.product(*(range(t) for _, t in loops)):
+        index = {d.name: 0 for d in wl.dims}
+        for (d, t), c in zip(loops, counters):
+            index[d] = index[d] * t + c
+        for op in wl.operands:
+            seen[op.name].add(tuple(index[d] for d in op.relevant_dims))
+    return {name: len(tuples) for name, tuples in seen.items()}
 
 
 class TestGeneratedNests:
@@ -273,3 +319,25 @@ class TestGeneratedNests:
         assert simulate_cycles(arch, wl, mapping).n_tiles == upper_trips
         serialized = simulate_cycles(arch, wl, mapping, overlap=False)
         assert serialized.cycles == sum(serialized.busy.values())
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(nests(max_moving=3))
+    def test_tile_elements_count_the_distinct_indices_of_a_tile(self, nest):
+        arch, wl, mapping, _ = nest
+        extents = tile_extents(mapping, arch.n_levels)
+        for li in range(arch.n_levels + 1):
+            counted = brute_force_tile_elements(wl, mapping, li)
+            assert {op.name: tile_elements(extents[li], op) for op in wl.operands} == counted
+            if li == 0:
+                continue
+            # a capacity at the counted footprint fits, one byte less does not
+            total = sum(counted[op.name] * math.ceil(op.precision_bits / 8)
+                        for op in wl.operands)
+            levels = [replace(lvl, capacity=None) for lvl in arch.levels]
+            for capacity, expected in (
+                    (total, []),
+                    (total - 1, [f"level L{li}: tile footprint {total} B exceeds "
+                                 f"capacity {total - 1} B"])):
+                levels[li - 1] = replace(levels[li - 1], capacity=capacity)
+                bounded = replace(arch, levels=tuple(levels))
+                assert validate(bounded, wl, mapping) == expected
