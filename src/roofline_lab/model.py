@@ -257,8 +257,8 @@ def tile_extents(mapping: MappingSpec, n_levels: int) -> list[dict[str, int]]:
     Row 0 is one parallel step: the spatial unrolls times the core
     split.  Row i multiplies in the temporal trips at levels <= i; it
     is the tile level i serves to the levels below it.  A dim the
-    mapping never names spans 1 and has no entry.  Levels without
-    loops share the row below them.
+    mapping never names spans 1 and has no entry.  Levels past the
+    mapping's loop lists share its top row.
     """
     row: dict[str, int] = {}
     for u in mapping.spatial:

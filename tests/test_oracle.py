@@ -220,13 +220,18 @@ GEMM_DIMS = ("B", "C", "K")
 CONV_DIMS = ("B", "K", "C", "OY", "OX", "FY", "FX")
 
 
-def footprint_bytes(wl, mapping, level):
-    """Summed whole-byte tiles of every operand at ``level``: each dim
-    spans the product of the unrolls, the core split and the trips at
-    levels <= ``level`` over it."""
+def tile_loops(mapping, level):
+    """(dim, trip) of every loop inside one tile at ``level``: the
+    unrolls, the core split and the temporal loops at levels <= ``level``."""
     loops = [(u.dim, u.factor) for u in mapping.spatial]
     loops += [mapping.core_split] if mapping.core_split else []
-    loops += [loop for lv in mapping.temporal[:level] for loop in lv]
+    return loops + [loop for lv in mapping.temporal[:level] for loop in lv]
+
+
+def footprint_bytes(wl, mapping, level):
+    """Summed whole-byte tiles of every operand at ``level``: each dim
+    spans the product of the tile's loops over it."""
+    loops = tile_loops(mapping, level)
     return sum(math.prod(t for d, t in loops if d in op.relevant_dims)
                * math.ceil(op.precision_bits / 8) for op in wl.operands)
 
@@ -290,11 +295,9 @@ def nests(draw, max_moving=6):
 def brute_force_tile_elements(wl, mapping, level):
     """Per operand, the distinct index tuples of its relevant dims met
     by literally enumerating one tile at ``level``: every combination
-    of the unrolls, the core split and the temporal loops at levels <=
-    ``level``, each dim's index a mixed-radix number of its loops."""
-    loops = [(u.dim, u.factor) for u in mapping.spatial]
-    loops += [mapping.core_split] if mapping.core_split else []
-    loops += [loop for lv in mapping.temporal[:level] for loop in lv]
+    of the tile's loops, each dim's index a mixed-radix number of its
+    loops."""
+    loops = tile_loops(mapping, level)
     seen = {op.name: set() for op in wl.operands}
     for counters in itertools.product(*(range(t) for _, t in loops)):
         index = {d.name: 0 for d in wl.dims}
