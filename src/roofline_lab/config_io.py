@@ -263,6 +263,8 @@ def workload_to_dict(wl: WorkloadSpec) -> dict:
 def parse_mapping(path: str | Path) -> MappingSpec:
     root = _Obj(path, "mapping", _load_json(path))
     spatial_raw = root.take("spatial", required=False, default=[])
+    if not isinstance(spatial_raw, list):
+        raise ParseError(path, "mapping.spatial", "expected a list of unrolls")
     spatial = []
     for i, sr in enumerate(spatial_raw):
         so = _Obj(path, f"mapping.spatial[{i}]", sr)
@@ -402,9 +404,10 @@ def _parse_transform(path: str | Path, i: int, raw: Any) -> object:
             weight_write_rows_per_cycle=to.number("weight_write_rows_per_cycle",
                                                   required=False, default=1,
                                                   minimum=1, integer=True),
-            reload_overlapped=bool(to.take("reload_overlapped", required=False,
-                                           default=False)),
+            reload_overlapped=to.take("reload_overlapped", required=False, default=False),
         )
+        if not isinstance(macro.reload_overlapped, bool):
+            raise ParseError(path, f"{to.where}.reload_overlapped", "expected true or false")
         to.finish()
         return macro
     raise ParseError(path, f"scenario.transforms[{i}].kind",
@@ -420,6 +423,8 @@ def parse_scenario(path: str | Path) -> Scenario:
         val = root.take(key, required=required)
         if val is None:
             return None
+        if not isinstance(val, str):
+            raise ParseError(p, f"scenario.{key}", "expected a file path string")
         # joined, not resolved: opening the file resolves ".." and
         # symlinks, so a realpath here would only add an lstat per component
         return (base / val).absolute()

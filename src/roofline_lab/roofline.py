@@ -31,6 +31,9 @@ has a sharp knee where the slowest memory slope meets the compute
 plateau; the energy roof bends smoothly and asymptotes at 1/E_op
 (ops/pJ, numerically equal to TOPS/W).  Curves are kept in ops/cycle
 and ops/pJ internally; seconds appear only at the reporting boundary.
+Charts draw each roof through vertices taken from its closed form:
+the throughput roof's ends and knee, and the energy roof bisected in
+log-log space to within CHORD_TOL_DECADES.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .model import ArchSpec, MappingSpec, WorkloadSpec
 
 REL_TOL = 1e-9
 DEFAULT_REF_LEVEL = 2
-SAMPLES_PER_DECADE = 64
+CHORD_TOL_DECADES = 1e-3  # energy polyline vs its roof, log-log
 
 
 @dataclass(frozen=True)
@@ -72,13 +75,14 @@ class RooflineCurve:
 
     @cached_property
     def samples(self) -> tuple[tuple[float, float], ...]:
-        """(ai_ref, value) pairs for plotting: a log grid from two
-        decades below the lowest knee to two above the highest, plus
-        the knees.  Computed on first read; only charts need it."""
+        """(ai_ref, value) chart vertices from the whole decade two below
+        the lowest knee to the one two above the highest, the knees
+        among them.  Computed on first read; only charts need it."""
         knee_ais = [ai for ai, _ in self.knees]
         span = knee_ais or [1.0]
-        grid = _sample_grid(min(span) / 100.0, max(span) * 100.0, knee_ais)
-        return tuple(zip(grid, map(self.value_at, grid)))
+        lo = 10.0 ** math.floor(math.log10(min(span) / 100.0))
+        hi = 10.0 ** math.ceil(math.log10(max(span) * 100.0))
+        return self._vertices(sorted({lo, hi, *knee_ais}))
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,10 @@ class ThroughputRoofline(RooflineCurve):
         if not self.slopes:
             return self.asymptote
         return min(min([s * ai_ref for s in self.slopes.values()]), self.asymptote)
+
+    def _vertices(self, ais: list[float]) -> tuple[tuple[float, float], ...]:
+        """Two straight log-log lines: the ends and the knee are exact."""
+        return tuple((ai, self.value_at(ai)) for ai in ais)
 
     def bound_at(self, ai_ref: float) -> str:
         if not self.slopes:
@@ -108,6 +116,22 @@ class EnergyRoofline(RooflineCurve):
 
     def value_at(self, ai_ref: float) -> float:
         return 1.0 / (self.e_op + sum([t / ai_ref for t in self.terms.values()]))
+
+    def _vertices(self, ais: list[float]) -> tuple[tuple[float, float], ...]:
+        """Bisect each segment in log-log space, left to right, while the
+        roof at its geometric midpoint lies more than CHORD_TOL_DECADES
+        from the chord.  ``pending`` holds the right ends still to reach."""
+        pending = [(ai, self.value_at(ai)) for ai in reversed(ais)]
+        out = [pending.pop()]
+        while pending:
+            (a, va), (b, vb) = out[-1], pending[-1]
+            m = a * math.sqrt(b / a)
+            vm = self.value_at(m)
+            if abs(math.log10((vm / va) * (vm / vb))) > 2 * CHORD_TOL_DECADES:
+                pending.append((m, vm))
+            else:
+                out.append(pending.pop())
+        return tuple(out)
 
     def memory_share(self, ai_ref: float) -> float:
         """Summed per-level energy terms at this AI, in pJ/op."""
@@ -141,18 +165,6 @@ def task_energy(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile) -> flo
     for lvl in arch.levels:
         energy += n_bytes[lvl.level_index] * lvl.energy_per_byte
     return energy
-
-
-def _sample_grid(lo: float, hi: float, knees: list[float]) -> list[float]:
-    """SAMPLES_PER_DECADE log-spaced points per whole decade covering
-    [lo, hi], ending exactly on a power of ten, merged with the knees."""
-    lo_dec = math.floor(math.log10(lo))
-    hi_dec = math.ceil(math.log10(hi))
-    n = (hi_dec - lo_dec) * SAMPLES_PER_DECADE
-    step = (hi_dec - lo_dec) / n
-    grid = [10.0 ** (lo_dec + i * step) for i in range(n)]
-    grid.append(10.0 ** hi_dec)
-    return sorted(set(grid).union(knees))
 
 
 def throughput_roofline(

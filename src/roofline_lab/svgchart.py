@@ -1,6 +1,8 @@
 """Hand-emitted log-log SVG charts for roofline curves and operating
-points.  No plotting dependency: the byte output is a pure function of
-the inputs, so identical runs produce identical files.
+points.  Each roof is drawn through the vertices its closed form gives
+(``RooflineCurve.samples``): a handful per chart, not a sampled grid.
+No plotting dependency: the byte output is a pure function of the
+inputs, so identical runs produce identical files.
 """
 
 from __future__ import annotations
@@ -17,14 +19,6 @@ SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b
 POINT_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
-def _decade_label(exp: int) -> str:
-    return f"1e{exp}"
-
-
 class _LogScale:
     def __init__(self, lo: float, hi: float, out_lo: float, out_hi: float):
         self.lo = math.log10(lo)
@@ -32,15 +26,9 @@ class _LogScale:
         self.out_lo = out_lo
         self.out_hi = out_hi
 
-    def positions(self, values) -> list[float]:
-        """Pixel position of each value, with the scale's constants read
-        once for the whole list."""
-        lo, hi, out_lo, out_hi = self.lo, self.hi, self.out_lo, self.out_hi
-        log10 = math.log10
-        return [out_lo + (log10(v) - lo) / (hi - lo) * (out_hi - out_lo) for v in values]
-
     def __call__(self, v: float) -> float:
-        return self.positions((v,))[0]
+        return self.out_lo + (math.log10(v) - self.lo) / (self.hi - self.lo) * (
+            self.out_hi - self.out_lo)
 
     def decades(self) -> list[int]:
         return list(range(math.ceil(self.lo), math.floor(self.hi) + 1))
@@ -79,24 +67,24 @@ def emit_svg(
 
     # decade grid
     for exp in sx.decades():
-        x = sx(10.0**exp)
+        x = f"{sx(10.0**exp):.2f}"
         out.append(
-            f'<line x1="{_fmt(x)}" y1="{MARGIN_T}" x2="{_fmt(x)}" '
+            f'<line x1="{x}" y1="{MARGIN_T}" x2="{x}" '
             f'y2="{HEIGHT - MARGIN_B}" stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_B + 18}" font-size="11" '
-            f'text-anchor="middle">{_decade_label(exp)}</text>'
+            f'<text x="{x}" y="{HEIGHT - MARGIN_B + 18}" font-size="11" '
+            f'text-anchor="middle">1e{exp}</text>'
         )
     for exp in sy.decades():
         y = sy(10.0**exp)
         out.append(
-            f'<line x1="{MARGIN_L}" y1="{_fmt(y)}" x2="{WIDTH - MARGIN_R}" '
-            f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
+            f'<line x1="{MARGIN_L}" y1="{y:.2f}" x2="{WIDTH - MARGIN_R}" '
+            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{MARGIN_L - 6}" y="{_fmt(y + 4)}" font-size="11" '
-            f'text-anchor="end">{_decade_label(exp)}</text>'
+            f'<text x="{MARGIN_L - 6}" y="{y + 4:.2f}" font-size="11" '
+            f'text-anchor="end">1e{exp}</text>'
         )
 
     # frame + axis labels
@@ -116,12 +104,7 @@ def emit_svg(
 
     for i, (label, curve) in enumerate(curves):
         color = SERIES_COLORS[i % len(SERIES_COLORS)]
-        shown = [(ai, v) for ai, v in curve.samples if v > 0 and x_lo <= ai <= x_hi]
-        xs_px = sx.positions([ai for ai, _ in shown])
-        # a plateau repeats one y: place and format each distinct y once
-        distinct = list(dict.fromkeys([v for _, v in shown]))
-        y_text = dict(zip(distinct, [f"{y:.2f}" for y in sy.positions(distinct)]))
-        pts = " ".join([f"{x:.2f},{y_text[v]}" for x, (_, v) in zip(xs_px, shown)])
+        pts = " ".join([f"{sx(ai):.2f},{sy(v):.2f}" for ai, v in curve.samples if v > 0])
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="2"/>'
@@ -130,28 +113,27 @@ def emit_svg(
             f'<text x="{WIDTH - MARGIN_R - 8}" y="{MARGIN_T + 16 + 14 * i}" '
             f'font-size="12" text-anchor="end" fill="{color}">{label}</text>'
         )
-        for ai, knee_label in curve.knees:
-            if not (x_lo <= ai <= x_hi):
-                continue
-            v = curve.value_at(ai)
+        for ai, knee_label in curve.knees:  # knees are vertices, so in range
+            cx, cy = f"{sx(ai):.2f}", sy(curve.value_at(ai))
             out.append(
-                f'<circle class="knee" data-ai="{ai:g}" cx="{_fmt(sx(ai))}" '
-                f'cy="{_fmt(sy(v))}" r="5" fill="white" stroke="{color}" '
+                f'<circle class="knee" data-ai="{ai:g}" cx="{cx}" '
+                f'cy="{cy:.2f}" r="5" fill="white" stroke="{color}" '
                 f'stroke-width="2"/>'
             )
             out.append(
-                f'<text x="{_fmt(sx(ai))}" y="{_fmt(sy(v) - 9)}" font-size="10" '
+                f'<text x="{cx}" y="{cy - 9:.2f}" font-size="10" '
                 f'text-anchor="middle" fill="{color}">knee {ai:g} ({knee_label})</text>'
             )
 
     for i, (label, ai, value) in enumerate(points):
         color = POINT_COLORS[i % len(POINT_COLORS)]
+        cx, cy = sx(ai), sy(value)
         out.append(
-            f'<circle class="point" data-label="{label}" cx="{_fmt(sx(ai))}" '
-            f'cy="{_fmt(sy(value))}" r="4" fill="{color}"/>'
+            f'<circle class="point" data-label="{label}" cx="{cx:.2f}" '
+            f'cy="{cy:.2f}" r="4" fill="{color}"/>'
         )
         out.append(
-            f'<text x="{_fmt(sx(ai) + 7)}" y="{_fmt(sy(value) + 4)}" '
+            f'<text x="{cx + 7:.2f}" y="{cy + 4:.2f}" '
             f'font-size="11" fill="{color}">{label}</text>'
         )
 

@@ -201,6 +201,8 @@ def apply_sparsity(wl: WorkloadSpec, s: SparsityConfig) -> SparsityModel:
     the unstructured format, or nonzeros times data bits plus block
     metadata for N:M.  Dense operands are untouched.
     """
+    if s.mode not in (DENSE, UNSTRUCTURED, STRUCTURED_NM):
+        raise SparsityConfigError(f"unknown sparsity mode {s.mode!r}")
     if not (0 < s.utilization_penalty <= 1):
         raise SparsityConfigError("utilization_penalty must be in (0, 1]")
     for name, d in s.density.items():
@@ -228,10 +230,8 @@ def apply_sparsity(wl: WorkloadSpec, s: SparsityConfig) -> SparsityModel:
         dense_bits = op.precision_bits
         if s.mode == UNSTRUCTURED:
             eff_bits = d * (dense_bits + s.index_bits)
-        elif s.mode == STRUCTURED_NM:
-            eff_bits = _structured_bits_per_element(dense_bits, s.n, s.m)  # type: ignore[arg-type]
         else:
-            raise SparsityConfigError(f"unknown sparsity mode {s.mode!r}")
+            eff_bits = _structured_bits_per_element(dense_bits, s.n, s.m)  # type: ignore[arg-type]
         byte_scale[op.name] = eff_bits / dense_bits
 
     return SparsityModel(

@@ -25,6 +25,17 @@ def scenario_arg(name: str) -> str:
     return str(fixture_path(name))
 
 
+def fixture_scenario(tmp_path: Path, data: dict) -> Path:
+    """Write ``data`` as a scenario whose string file references name
+    the shipped fixtures."""
+    files = ("arch", "workload", "mapping")
+    data = {k: str(fixture_path(v)) if k in files and isinstance(v, str) else v
+            for k, v in data.items()}
+    path = tmp_path / "case.scenario"
+    path.write_text(json.dumps(data))
+    return path
+
+
 class TestAnalyze:
     def test_reference_scenario_text_report(self):
         code, out = run("analyze", "--scenario", scenario_arg("fig3_ai16.scenario"))
@@ -135,6 +146,45 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert code == 2 and "Traceback" not in err
             assert "scenario.label: expected a string" in err
+
+    @pytest.mark.parametrize("key", ["arch", "workload", "mapping"])
+    def test_non_string_file_reference_is_a_parse_error(self, tmp_path, capsys, key):
+        data = json.loads(fixture_path("gemm_dense.scenario").read_text())
+        for bad in (5, ["gemm.wl"], {"path": "x"}):
+            data[key] = bad
+            path = fixture_scenario(tmp_path, data)
+            code, _ = run("analyze", "--scenario", str(path))
+            err = capsys.readouterr().err
+            assert code == 2 and "Traceback" not in err
+            assert f"scenario.{key}: expected a file path string" in err
+
+    def test_non_list_spatial_is_a_parse_error(self, tmp_path, capsys):
+        data = json.loads(fixture_path("os_map.map").read_text())
+        data["spatial"] = 3
+        path = tmp_path / "bad.map"
+        path.write_text(json.dumps(data))
+        code, _ = run("analyze", "--arch", str(fixture_path("fig3.arch")),
+                      "--workload", str(fixture_path("gemm.wl")), "--mapping", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "mapping.spatial: expected a list of unrolls" in err
+
+    @pytest.mark.parametrize("bad", ["no", "false", 0, 1, None])
+    def test_non_boolean_reload_overlapped_is_a_parse_error(self, tmp_path, capsys, bad):
+        data = json.loads(fixture_path("imc256.scenario").read_text())
+        data["transforms"][0]["reload_overlapped"] = bad
+        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "scenario.transforms[0].reload_overlapped: expected true or false" in err
+
+    def test_unknown_sparsity_mode_without_density_is_an_error(self, tmp_path, capsys):
+        data = json.loads(fixture_path("gemm_dense.scenario").read_text())
+        data["transforms"] = [{"kind": "sparsity", "mode": "bogus"}]
+        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert "unknown sparsity mode 'bogus'" in err
 
     def test_unknown_weight_operand_is_an_error_naming_it(self, tmp_path, capsys):
         data = json.loads(fixture_path("gemm_dense.scenario").read_text())

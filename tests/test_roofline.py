@@ -1,11 +1,14 @@
 """Task cost equations and the two ceilings: values pinned by direct
 arithmetic on the reference constants."""
 
+import bisect
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from roofline_lab import (
     MappingSpec,
@@ -20,7 +23,7 @@ from roofline_lab import (
 from roofline_lab import report
 from roofline_lab.config_io import fixture_path, parse_scenario
 from roofline_lab.mapping import AccessProfile
-from roofline_lab.roofline import REL_TOL
+from roofline_lab.roofline import CHORD_TOL_DECADES, REL_TOL
 from roofline_lab.svgchart import emit_svg
 
 from conftest import gemm, make_arch, plain_mapping, unroll
@@ -220,13 +223,48 @@ class TestSamples:
         for curve in (throughput_roofline(fig3_arch, ratios),
                       energy_roofline(fig3_arch, ratios)):
             ais = [ai for ai, _ in curve.samples]
-            assert all(b > a for a, b in zip(ais, ais[1:]))
-            assert {ai for ai, _ in curve.knees} <= set(ais)
             for end in (ais[0], ais[-1]):
                 assert end == float(f"1e{round(math.log10(end))}")
             knee_ais = [ai for ai, _ in curve.knees] or [1.0]
             assert ais[0] <= min(knee_ais) / 100 < ais[0] * 10
             assert ais[-1] / 10 < max(knee_ais) * 100 <= ais[-1]
+            assert_chart_vertices(curve)
+
+
+def _drawn_at(curve, ai: float) -> float:
+    """The chart polyline's value at ``ai``, read off straight log-log
+    segments between the vertices."""
+    ais = [a for a, _ in curve.samples]
+    i = min(max(bisect.bisect_right(ais, ai), 1), len(ais) - 1)
+    (a, va), (b, vb) = curve.samples[i - 1], curve.samples[i]
+    t = math.log10(ai / a) / math.log10(b / a)
+    return 10.0 ** (math.log10(va) + t * math.log10(vb / va))
+
+
+def _chord_tol(curve) -> float:
+    """Decades the drawn polyline may stray from the roof: the
+    throughput roof's is exact, the energy roof's is bisected."""
+    return 1e-12 if curve.kind == "throughput" else 2 * CHORD_TOL_DECADES
+
+
+def assert_chart_vertices(curve) -> None:
+    """The polyline's geometry: vertices on the roof, increasing x, ends
+    on the whole decades two beyond the outer knees (by log10, as the
+    chart's axes always placed them), every knee drawn, and every chord
+    within ``_chord_tol`` of the roof on a 64-per-decade grid."""
+    ais = [ai for ai, _ in curve.samples]
+    assert all(v == curve.value_at(ai) for ai, v in curve.samples)
+    assert all(b > a for a, b in zip(ais, ais[1:]))
+    assert {ai for ai, _ in curve.knees} <= set(ais)
+    knee_ais = [ai for ai, _ in curve.knees] or [1.0]
+    assert ais[0] == 10.0 ** math.floor(math.log10(min(knee_ais) / 100))
+    assert ais[-1] == 10.0 ** math.ceil(math.log10(max(knee_ais) * 100))
+    if curve.kind == "throughput":
+        assert len(ais) <= 3
+    lo, hi = round(math.log10(ais[0])), round(math.log10(ais[-1]))
+    for i in range((hi - lo) * 64 + 1):
+        ai = 10.0 ** (lo + i / 64)
+        assert abs(math.log10(_drawn_at(curve, ai) / curve.value_at(ai))) <= _chord_tol(curve)
 
 
 class TestDuality:
@@ -411,3 +449,41 @@ class TestOneLatencyModel:
         assert r.latency.cycles == 1280
         assert r.latency.limiter == "compute"
         assert dict(r.latency.terms)["reload"] == 256
+
+
+@st.composite
+def roofs(draw):
+    """An arbitrary architecture's two roofs over 1-4 levels, with
+    unbounded AI ratios and free levels or free compute among them."""
+    n = draw(st.integers(1, 4))
+    magnitude = st.floats(-3, 3).map(lambda e: 10.0 ** e)
+    energy = st.one_of(st.just(0.0), magnitude)
+    levels = [(draw(magnitude), draw(energy)) for _ in range(n)]
+    e_op = draw(energy)
+    ratios = {li: draw(st.one_of(st.just(math.inf), magnitude)) for li in range(1, n + 1)}
+    assume(e_op > 0 or any(e > 0 and math.isfinite(ratios[li])
+                           for li, (_, e) in enumerate(levels, 1)))
+    dims = (("row", draw(st.integers(1, 64))), ("col", draw(st.integers(1, 64))))
+    arch = make_arch(levels, dims=dims, e_op=e_op)
+    return throughput_roofline(arch, ratios), energy_roofline(arch, ratios)
+
+
+class TestChartVertices:
+    """The chart polyline is built from each roof's closed form: exact
+    ends and knee for the throughput roof, log-log bisection for the
+    energy roof."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_shipped_roofs_and_the_point_on_them(self, case):
+        r = CASES[case]()
+        p = r.point
+        for curve, ceiling in ((r.throughput_curve, p.throughput_ceiling),
+                               (r.energy_curve, p.efficiency_ceiling)):
+            assert_chart_vertices(curve)
+            assert abs(math.log10(_drawn_at(curve, p.ai_ref) / ceiling)) <= _chord_tol(curve)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(roofs())
+    def test_generated_roofs(self, pair):
+        for curve in pair:
+            assert_chart_vertices(curve)
