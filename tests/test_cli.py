@@ -169,15 +169,6 @@ class TestAnalyze:
         assert code == 2 and "Traceback" not in err
         assert "mapping.spatial: expected a list of unrolls" in err
 
-    @pytest.mark.parametrize("bad", ["no", "false", 0, 1, None])
-    def test_non_boolean_reload_overlapped_is_a_parse_error(self, tmp_path, capsys, bad):
-        data = json.loads(fixture_path("imc256.scenario").read_text())
-        data["transforms"][0]["reload_overlapped"] = bad
-        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
-        err = capsys.readouterr().err
-        assert code == 2 and "Traceback" not in err
-        assert "scenario.transforms[0].reload_overlapped: expected true or false" in err
-
     def test_unknown_sparsity_mode_without_density_is_an_error(self, tmp_path, capsys):
         data = json.loads(fixture_path("gemm_dense.scenario").read_text())
         data["transforms"] = [{"kind": "sparsity", "mode": "bogus"}]
@@ -407,6 +398,8 @@ class TestTransformParsing:
          "weight_bits", "expected an integer"),
         ({"kind": "imc", "rows": 256, "cols": 128, "weight_write_rows_per_cycle": 0.5},
          "weight_write_rows_per_cycle", "expected an integer"),
+        *[({"kind": "imc", "rows": 256, "cols": 128, "reload_overlapped": bad},
+           "reload_overlapped", "expected true or false") for bad in ("no", "false", 0, 1, None)],
     ])
     def test_bad_value_is_a_parse_error_naming_the_field(
             self, tmp_path, capsys, transform, field, message):
