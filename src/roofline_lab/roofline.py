@@ -127,6 +127,7 @@ class EnergyRoofline(RooflineCurve):
             (a, va), (b, vb) = out[-1], pending[-1]
             m = a * math.sqrt(b / a)
             vm = self.value_at(m)
+            # half this log10 is the midpoint's log-log distance from the chord
             if abs(math.log10((vm / va) * (vm / vb))) > 2 * CHORD_TOL_DECADES:
                 pending.append((m, vm))
             else:
