@@ -1,15 +1,17 @@
 """End-to-end evaluation of one design point: access counts, intensities,
 utilization, task cost, ceilings and the operating point in one result.
 
-One private evaluator turns an access profile into an
-``AnalysisResult``; the entry paths only build that profile:
-
-* ``analyze_mapping`` counts the accesses of a concrete (arch,
-  workload, mapping) triple, optionally under a sparsity traffic model;
-* ``analyze_intensities`` synthesizes them from per-level arithmetic
-  intensities (no mapping, ideal utilization), which is how roofline
-  positions are studied before a mapping exists;
-* ``operating_point`` is the point of ``analyze_mapping``.
+Evaluation has two stages, as the dual roofline separates what the
+mapping fixes from what the architecture fixes.  The traffic stage
+builds a ``Traffic`` record: ``mapped_traffic`` counts the accesses of
+a concrete mapping, optionally under a sparsity traffic model, and
+``intensity_traffic`` synthesizes them from per-level arithmetic
+intensities (no mapping, ideal utilization), which is how roofline
+positions are studied before a mapping exists.  The cost stage, one
+private evaluator, prices that record: both roofs, task energy and
+latency, utilization and the point.  ``analyze_mapping`` and
+``analyze_intensities`` run both stages; ``operating_point`` is the
+point of ``analyze_mapping``.
 
 Per-level AI is the effective op count over the bytes moved.  Under
 sparsity that is surviving ops over compressed bytes, since only MACs
@@ -19,7 +21,7 @@ with nonzeros in every sparse input count toward intensity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .mapping import (
     AccessProfile,
@@ -29,7 +31,13 @@ from .mapping import (
     task_latency,
     utilization,
 )
-from .model import ArchSpec, MappingSpec, WorkloadSpec
+from .model import (
+    ArchSpec,
+    InvalidMappingError,
+    MappingSpec,
+    WorkloadSpec,
+    arch_violations,
+)
 from .roofline import (
     DEFAULT_REF_LEVEL,
     REL_TOL,
@@ -43,8 +51,19 @@ from .roofline import (
 from .transforms import SparsityModel
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class Traffic(NamedTuple):
+    """The traffic stage's result, which the cost stage prices: the
+    architecture, workload and mapping after any transforms, the
+    sparsity model and the access profile."""
+
+    arch: ArchSpec
+    workload: WorkloadSpec
+    mapping: MappingSpec | None
+    sparsity: SparsityModel | None
+    profile: AccessProfile
+
+
+class AnalysisResult(NamedTuple):
     """Everything the reports print for one scenario."""
 
     label: str
@@ -53,7 +72,6 @@ class AnalysisResult:
     mapping: MappingSpec | None
     profile: AccessProfile
     ai: dict[int, float]
-    n_bytes: dict[int, float]
     utilization: Utilization
     effective_ops: float
     e_task_pj: float
@@ -70,19 +88,50 @@ class AnalysisResult:
         )
 
 
-def _evaluate(
+def mapped_traffic(
     arch: ArchSpec,
     wl: WorkloadSpec,
-    mapping: MappingSpec | None,
-    profile: AccessProfile,
-    effective_ops: float,
-    bandwidth_penalty: float,
-    label: str,
-    ref_level: int | None,
-    overlap: str | None,
+    mapping: MappingSpec,
+    sparsity: SparsityModel | None = None,
+    count: Callable[[ArchSpec, WorkloadSpec, MappingSpec], AccessProfile] | None = None,
+) -> Traffic:
+    """The traffic stage of a mapped workload: the access profile from
+    ``count`` (``count_accesses`` unless a sweep shares its counts),
+    with byte widths rescaled by the sparsity model."""
+    profile = (count or count_accesses)(arch, wl, mapping)
+    if sparsity is not None:
+        profile = profile.scaled(sparsity.byte_scale)
+    return Traffic(arch, wl, mapping, sparsity, profile)
+
+
+def intensity_traffic(
+    arch: ArchSpec, wl: WorkloadSpec, ai_per_level: dict[int, float]
+) -> Traffic:
+    """The traffic stage without a mapping: a profile synthesized from
+    per-level AI, for a valid architecture."""
+    levels, given = set(range(1, arch.n_levels + 1)), set(ai_per_level)
+    if given != levels:
+        raise ValueError(
+            f"ai_profile levels must be exactly 1..{arch.n_levels}: "
+            f"missing {sorted(levels - given)}, extra {sorted(given - levels)}")
+    violations = arch_violations(arch)
+    if violations:
+        raise InvalidMappingError(violations)
+    profile = AccessProfile.from_intensities(wl.n_op, ai_per_level)
+    return Traffic(arch, wl, None, None, profile)
+
+
+def _evaluate(
+    traffic: Traffic, label: str, ref_level: int | None, overlap: str | None
 ) -> AnalysisResult:
-    """Both roofs, task energy and latency, utilization and the point
-    (effective ops / L_task against the roofs at the reference AI)."""
+    """The cost stage: both roofs, task energy and latency, utilization
+    and the point (effective ops / L_task against the roofs at the
+    reference AI)."""
+    arch, wl, mapping, sparsity, profile = traffic
+    effective_ops, bandwidth_penalty = float(wl.n_op), 1.0
+    if sparsity is not None:
+        effective_ops = sparsity.effective_ops
+        bandwidth_penalty = sparsity.bandwidth_penalty
     ref = ref_level if ref_level is not None else min(DEFAULT_REF_LEVEL, arch.n_levels)
     if not 1 <= ref <= arch.n_levels:
         raise ValueError(
@@ -125,7 +174,6 @@ def _evaluate(
         mapping=mapping,
         profile=profile,
         ai=ai,
-        n_bytes=n_bytes,
         utilization=util,
         effective_ops=effective_ops,
         e_task_pj=e_task,
@@ -145,13 +193,7 @@ def analyze_mapping(
     sparsity: SparsityModel | None = None,
     overlap: str | None = None,
 ) -> AnalysisResult:
-    profile = count_accesses(arch, wl, mapping)
-    effective_ops, penalty = float(wl.n_op), 1.0
-    if sparsity is not None:
-        profile = profile.scaled(sparsity.byte_scale)
-        effective_ops, penalty = sparsity.effective_ops, sparsity.bandwidth_penalty
-    return _evaluate(arch, wl, mapping, profile, effective_ops, penalty,
-                     label, ref_level, overlap)
+    return _evaluate(mapped_traffic(arch, wl, mapping, sparsity), label, ref_level, overlap)
 
 
 def analyze_intensities(
@@ -164,14 +206,7 @@ def analyze_intensities(
 ) -> AnalysisResult:
     """Roofline placement from per-level AI alone: no mapping, so full
     spatial and core utilization and the ideal latency."""
-    levels, given = set(range(1, arch.n_levels + 1)), set(ai_per_level)
-    if given != levels:
-        raise ValueError(
-            f"ai_profile levels must be exactly 1..{arch.n_levels}: "
-            f"missing {sorted(levels - given)}, extra {sorted(given - levels)}")
-    profile = AccessProfile.from_intensities(wl.n_op, ai_per_level)
-    return _evaluate(arch, wl, None, profile, float(wl.n_op), 1.0,
-                     label, ref_level, overlap)
+    return _evaluate(intensity_traffic(arch, wl, ai_per_level), label, ref_level, overlap)
 
 
 def operating_point(

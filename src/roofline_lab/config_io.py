@@ -64,16 +64,7 @@ class _Obj:
         val = self.take(key, required, default)
         if val is None and not required:
             return default
-        kinds = int if integer else (int, float)
-        if not isinstance(val, kinds) or isinstance(val, bool):
-            raise ParseError(self.path, f"{self.where}.{key}",
-                             "expected an integer" if integer else "expected a number")
-        if minimum is not None and (val <= minimum if strict else val < minimum):
-            op = ">" if strict else ">="
-            raise ParseError(
-                self.path, f"{self.where}.{key}", f"must be {op} {minimum} (got {val})"
-            )
-        return val
+        return _number(self.path, f"{self.where}.{key}", val, minimum, strict, integer)
 
     def finish(self) -> None:
         if self.data:
@@ -82,11 +73,38 @@ class _Obj:
             )
 
 
+def _number(path: str | Path, where: str, val: Any, minimum: float | None = None,
+            strict: bool = False, integer: bool = False) -> Any:
+    """``val`` if it is a JSON number (an integer if ``integer``; never a
+    boolean) at or above ``minimum``, or above it if ``strict``."""
+    kinds = int if integer else (int, float)
+    if not isinstance(val, kinds) or isinstance(val, bool):
+        raise ParseError(path, where, "expected an integer" if integer else "expected a number")
+    if minimum is not None and (val <= minimum if strict else val < minimum):
+        op = ">" if strict else ">="
+        raise ParseError(path, where, f"must be {op} {minimum} (got {val})")
+    return val
+
+
+def _named_count(path: str | Path, where: str, pair: Any, shape: str) -> tuple[str, int]:
+    """A ``[name, count]`` pair whose count is an integer >= 1."""
+    if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
+        raise ParseError(path, where, f"expected {shape}")
+    return pair[0], _number(path, f"{where}[1]", pair[1], minimum=1, integer=True)
+
+
 def _load_json(path: str | Path) -> Any:
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise ParseError(path, "<file>", str(exc)) from exc
+    try:
+        # strict UTF-8: a byte order mark stays for json.loads to reject
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, "<file>",
+                         f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -103,16 +121,10 @@ def parse_arch(path: str | Path) -> ArchSpec:
     dims_raw = arr.take("dims")
     if not isinstance(dims_raw, list) or not dims_raw:
         raise ParseError(path, "arch.array.dims", "expected a non-empty list")
-    dims = []
-    for i, pair in enumerate(dims_raw):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not isinstance(pair[0], str) or not isinstance(pair[1], int)):
-            raise ParseError(path, f"arch.array.dims[{i}]", "expected [label, size]")
-        if pair[1] < 1:
-            raise ParseError(path, f"arch.array.dims[{i}]", "size must be >= 1")
-        dims.append((pair[0], pair[1]))
+    dims = tuple(_named_count(path, f"arch.array.dims[{i}]", pair, "[label, size]")
+                 for i, pair in enumerate(dims_raw))
     array = ComputeArray(
-        dims=tuple(dims),
+        dims=dims,
         energy_per_op=arr.number("energy_per_op", minimum=0.0),
         ops_per_mac=arr.number("ops_per_mac", required=False, default=2, minimum=1,
                                integer=True),
@@ -134,15 +146,12 @@ def parse_arch(path: str | Path) -> ArchSpec:
                              f"duplicate level name {name!r} "
                              f"(also arch.levels[{first_named[name]}])")
         first_named[name] = i
-        cap = lo.take("capacity", required=False)
-        if cap is not None and (not isinstance(cap, int) or cap <= 0):
-            raise ParseError(path, f"arch.levels[{i}].capacity",
-                             "must be a positive integer or null")
         levels.append(MemoryLevel(
             name=name,
             bandwidth=lo.number("bandwidth", minimum=0.0, strict=True),
             energy_per_byte=lo.number("energy_per_byte", minimum=0.0),
-            capacity=cap,
+            capacity=lo.number("capacity", required=False, minimum=0, strict=True,
+                               integer=True),
             level_index=lo.number("level_index", required=False, default=i + 1,
                                   minimum=1, integer=True),
         ))
@@ -198,14 +207,8 @@ def parse_workload(path: str | Path) -> WorkloadSpec:
     dims_raw = root.take("dims")
     if not isinstance(dims_raw, list) or not dims_raw:
         raise ParseError(path, "workload.dims", "expected a non-empty list")
-    dims = []
-    for i, pair in enumerate(dims_raw):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not isinstance(pair[0], str) or not isinstance(pair[1], int)):
-            raise ParseError(path, f"workload.dims[{i}]", "expected [name, size]")
-        if pair[1] < 1:
-            raise ParseError(path, f"workload.dims[{i}]", "size must be >= 1")
-        dims.append(LoopDim(pair[0], pair[1]))
+    dims = [LoopDim(*_named_count(path, f"workload.dims[{i}]", pair, "[name, size]"))
+            for i, pair in enumerate(dims_raw)]
 
     ops_raw = root.take("operands")
     if not isinstance(ops_raw, list) or not ops_raw:
@@ -221,16 +224,15 @@ def parse_workload(path: str | Path) -> WorkloadSpec:
         if not isinstance(rel, list) or not all(isinstance(r, str) for r in rel):
             raise ParseError(path, f"workload.operands[{i}].relevant_dims",
                              "expected a list of dim names")
-        accum = oo.take("accum_bits", required=False)
-        bpe = oo.take("bytes_per_element", required=False)
         operands.append(OperandSpec(
             name=str(oo.take("name")),
             role=role,
             relevant_dims=tuple(rel),
             precision_bits=oo.number("precision_bits", required=False, default=8,
                                      minimum=1, integer=True),
-            accum_bits=accum,
-            bytes_per_element=bpe,
+            accum_bits=oo.number("accum_bits", required=False, minimum=1, integer=True),
+            bytes_per_element=oo.number("bytes_per_element", required=False,
+                                        minimum=0.0, strict=True),
         ))
         oo.finish()
     wl = WorkloadSpec(name=name, dims=tuple(dims), operands=tuple(operands))
@@ -282,31 +284,13 @@ def parse_mapping(path: str | Path) -> MappingSpec:
     for li, level_loops in enumerate(temp_raw):
         if not isinstance(level_loops, list):
             raise ParseError(path, f"mapping.temporal[{li}]", "expected a loop list")
-        loops = []
-        for j, pair in enumerate(level_loops):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not isinstance(pair[0], str) or not isinstance(pair[1], int)):
-                raise ParseError(path, f"mapping.temporal[{li}][{j}]",
-                                 "expected [dim, trip]")
-            if pair[1] < 1:
-                raise ParseError(path, f"mapping.temporal[{li}][{j}]",
-                                 "trip count must be >= 1")
-            loops.append((pair[0], pair[1]))
-        temporal.append(tuple(loops))
+        temporal.append(tuple(
+            _named_count(path, f"mapping.temporal[{li}][{j}]", pair, "[dim, trip]")
+            for j, pair in enumerate(level_loops)))
 
-    core_split_raw = root.take("core_split", required=False)
-    core_split = None
-    if core_split_raw is not None:
-        if (not isinstance(core_split_raw, list) or len(core_split_raw) != 2
-                or not isinstance(core_split_raw[0], str)
-                or not isinstance(core_split_raw[1], int)):
-            raise ParseError(path, "mapping.core_split", "expected [dim, factor]")
-        core_split = (core_split_raw[0], core_split_raw[1])
-
-    reload_raw = root.take("reload_cycles_per_tile", required=False)
-    if reload_raw is not None and (not isinstance(reload_raw, int) or reload_raw < 0):
-        raise ParseError(path, "mapping.reload_cycles_per_tile",
-                         "must be a non-negative integer or null")
+    core_split = root.take("core_split", required=False)
+    if core_split is not None:
+        core_split = _named_count(path, "mapping.core_split", core_split, "[dim, factor]")
     pinned = root.take("pinned_operand", required=False)
 
     mapping = MappingSpec(
@@ -315,7 +299,8 @@ def parse_mapping(path: str | Path) -> MappingSpec:
         cores=root.number("cores", required=False, default=1, minimum=1, integer=True),
         core_split=core_split,
         pinned_operand=pinned,
-        reload_cycles_per_tile=reload_raw,
+        reload_cycles_per_tile=root.number("reload_cycles_per_tile", required=False,
+                                           minimum=0, integer=True),
     )
     root.finish()
     return mapping

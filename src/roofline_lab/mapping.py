@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .model import (
     OUTPUT,
@@ -82,8 +83,7 @@ def has_pending_reduction(
     return False
 
 
-@dataclass(frozen=True)
-class OperandTraffic:
+class OperandTraffic(NamedTuple):
     """Traffic of one operand across one level boundary."""
 
     events: int  # tile fetches
@@ -149,8 +149,7 @@ class AccessProfile:
         return cls(n_op, levels, traffic, {li: None for li in levels})
 
 
-@dataclass(frozen=True)
-class Utilization:
+class Utilization(NamedTuple):
     """Multiplicative decomposition of compute under-use."""
 
     spatial: float
@@ -299,8 +298,7 @@ def active_cores(mapping: MappingSpec) -> int:
     return mapping.core_split[1]
 
 
-@dataclass(frozen=True)
-class LatencyResult:
+class LatencyResult(NamedTuple):
     """Task latency with the (resource, cycles) terms it combines:
     one per level, "compute", and "reload" when reloads stall."""
 

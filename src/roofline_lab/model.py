@@ -244,7 +244,8 @@ class MappingSpec:
 
 
 class InvalidMappingError(ValueError):
-    """Raised by analyses that require a valid (arch, workload, mapping)."""
+    """Raised by analyses that require a valid architecture, and with a
+    mapping a valid (arch, workload, mapping)."""
 
     def __init__(self, violations: list[str]):
         self.violations = violations
@@ -285,6 +286,34 @@ def tile_elements(extents: dict[str, int], operand: OperandSpec) -> int:
     return elements
 
 
+def arch_violations(arch: ArchSpec) -> list[str]:
+    """The architecture's own field invariants, which every evaluation
+    needs, mapped or not; an empty list means valid."""
+    v: list[str] = []
+    for lvl in arch.levels:
+        if lvl.bandwidth <= 0:
+            v.append(f"level {lvl.name}: bandwidth must be > 0 (got {lvl.bandwidth})")
+        if lvl.energy_per_byte < 0:
+            v.append(f"level {lvl.name}: energy_per_byte must be >= 0")
+        if lvl.capacity is not None and lvl.capacity <= 0:
+            v.append(f"level {lvl.name}: capacity must be > 0 when bounded")
+    if not arch.levels:
+        v.append("architecture needs at least one memory level")
+    indices = [lvl.level_index for lvl in arch.levels]
+    if indices != list(range(1, len(indices) + 1)):
+        v.append(f"level indices must run 1..{len(indices)} contiguously (got {indices})")
+    if arch.clock <= 0:
+        v.append(f"clock must be > 0 (got {arch.clock})")
+    if arch.array.energy_per_op < 0:
+        v.append("array energy_per_op must be >= 0")
+    if arch.array.throughput_scale <= 0:
+        v.append(f"array throughput_scale must be > 0 (got {arch.array.throughput_scale})")
+    for axis, size in arch.array.dims:
+        if size < 1:
+            v.append(f"array axis {axis}: size must be >= 1")
+    return v
+
+
 def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str]:
     """Check every structural invariant; an empty list means valid.
 
@@ -313,28 +342,7 @@ def _check(
     """``validate``'s violations plus the extent table its closure and
     capacity checks read, with a row per level of the architecture or
     of the mapping, whichever has more."""
-    v: list[str] = []
-
-    # -- architecture field invariants
-    for lvl in arch.levels:
-        if lvl.bandwidth <= 0:
-            v.append(f"level {lvl.name}: bandwidth must be > 0 (got {lvl.bandwidth})")
-        if lvl.energy_per_byte < 0:
-            v.append(f"level {lvl.name}: energy_per_byte must be >= 0")
-        if lvl.capacity is not None and lvl.capacity <= 0:
-            v.append(f"level {lvl.name}: capacity must be > 0 when bounded")
-    if not arch.levels:
-        v.append("architecture needs at least one memory level")
-    indices = [lvl.level_index for lvl in arch.levels]
-    if indices != list(range(1, len(indices) + 1)):
-        v.append(f"level indices must run 1..{len(indices)} contiguously (got {indices})")
-    if arch.clock <= 0:
-        v.append(f"clock must be > 0 (got {arch.clock})")
-    if arch.array.energy_per_op < 0:
-        v.append("array energy_per_op must be >= 0")
-    for axis, size in arch.array.dims:
-        if size < 1:
-            v.append(f"array axis {axis}: size must be >= 1")
+    v = arch_violations(arch)
 
     # -- workload invariants
     sizes = wl.dim_sizes

@@ -9,9 +9,16 @@ import io
 import math
 from dataclasses import dataclass, replace
 
-from .analysis import AnalysisResult, analyze_intensities, analyze_mapping
+from .analysis import (
+    AnalysisResult,
+    Traffic,
+    _evaluate,
+    intensity_traffic,
+    mapped_traffic,
+)
 from .config_io import Scenario, parse_arch, parse_mapping, parse_workload
-from .model import INPUT, ArchSpec, MappingSpec, WorkloadSpec
+from .mapping import AccessProfile, count_accesses
+from .model import INPUT, ArchSpec, MappingSpec, WorkloadSpec, valid_tile_extents
 from .transforms import (
     ImcMacro,
     QuantConfig,
@@ -72,8 +79,10 @@ def _combine_sparsity(prev: SparsityModel | None, new: SparsityModel,
     )
 
 
-def run_scenario(loaded: LoadedScenario, overlap: str | None = None) -> AnalysisResult:
-    """Apply the transform chain left to right, then evaluate."""
+def scenario_traffic(loaded: LoadedScenario, count=None) -> Traffic:
+    """The traffic stage: apply the transform chain left to right, then
+    count the accesses of the result (``count`` as in
+    ``mapped_traffic``)."""
     arch, wl, mapping = loaded.arch, loaded.workload, loaded.mapping
     sparsity: SparsityModel | None = None
     for t in loaded.transforms:
@@ -95,20 +104,15 @@ def run_scenario(loaded: LoadedScenario, overlap: str | None = None) -> Analysis
             raise TypeError(f"unknown transform {t!r}")
 
     if mapping is not None:
-        return analyze_mapping(
-            arch, wl, mapping,
-            label=loaded.label,
-            ref_level=loaded.ref_level,
-            sparsity=sparsity,
-            overlap=overlap,
-        )
+        return mapped_traffic(arch, wl, mapping, sparsity, count)
     assert loaded.ai_profile is not None
-    return analyze_intensities(
-        arch, wl, loaded.ai_profile,
-        label=loaded.label,
-        ref_level=loaded.ref_level,
-        overlap=overlap,
-    )
+    # an AI profile is placed dense: there is no mapped traffic to rescale
+    return intensity_traffic(arch, wl, loaded.ai_profile)
+
+
+def run_scenario(loaded: LoadedScenario, overlap: str | None = None) -> AnalysisResult:
+    """The traffic stage, then the cost stage."""
+    return _evaluate(scenario_traffic(loaded), loaded.label, loaded.ref_level, overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,7 @@ def render_text(r: AnalysisResult) -> str:
         li = lvl.level_index
         ai = r.ai[li]
         lines.append(
-            f"{lvl.name:>5}  {_g(r.n_bytes[li]):>11}  "
+            f"{lvl.name:>5}  {_g(r.profile.n_bytes[li]):>11}  "
             f"{'inf' if math.isinf(ai) else _g(ai):>8}  "
             f"{_g(lvl.bandwidth):>11}  {_g(lvl.energy_per_byte):>7}"
         )
@@ -279,9 +283,27 @@ SWEEP_FIELDS = ("parameter", "value") + ANALYSIS_FIELDS
 
 def run_sweep(loaded: LoadedScenario, parameter: str, values: list[float],
               overlap: str | None = None) -> list[dict[str, str]]:
+    """One row per value: the traffic stage, then the cost stage, of the
+    swept scenario.  Within this call the accesses are counted once per
+    distinct (level count, workload, mapping) the transform chain
+    yields, since the level count is all of the architecture a count
+    reads besides validation; every other value is still validated."""
+    counted: dict[tuple, AccessProfile] = {}
+
+    def count(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> AccessProfile:
+        key = (arch.n_levels, wl, mapping)
+        profile = counted.get(key)
+        if profile is None:
+            profile = counted[key] = count_accesses(arch, wl, mapping)
+        else:
+            valid_tile_extents(arch, wl, mapping)
+        return profile
+
     rows = []
     for v in values:  # input order is the output order
-        result = run_scenario(apply_sweep_value(loaded, parameter, v), overlap)
+        point = apply_sweep_value(loaded, parameter, v)
+        result = _evaluate(scenario_traffic(point, count), point.label, point.ref_level,
+                           overlap)
         row = {"parameter": parameter, "value": _g(v)}
         row.update(analysis_row(result))
         rows.append(row)

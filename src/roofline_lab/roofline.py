@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .mapping import (  # task_latency and LatencyResult are re-exported here
     AccessProfile,
@@ -145,8 +146,7 @@ class EnergyRoofline(RooflineCurve):
         return "compute-bound"
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
+class OperatingPoint(NamedTuple):
     """Where a concrete mapped workload lands under the two roofs."""
 
     ai_ref: float

@@ -103,6 +103,9 @@ def apply_quantization(
     if not any(op.name == q.weight_operand for op in wl.operands):
         raise UnsupportedConfigError(f"weight_operand {q.weight_operand!r} names no "
                                      f"operand of workload {wl.name!r}")
+    for name, bits in q.precision_bits.items():
+        if bits < 1:
+            raise UnsupportedConfigError(f"precision_bits for {name} must be >= 1 (got {bits})")
     base = arch.base_precision_bits
     w_bits = q.precision_bits.get(q.weight_operand, base)
     if q.compute_scaling_exponent < 1:

@@ -221,7 +221,7 @@ def test_criterion_7_sparsity_identity_and_direction(fig3_arch):
         identity = apply_sparsity(wl, identity_cfg)
         same = analyze_mapping(fig3_arch, wl, mapping, label="d",
                                sparsity=identity)
-        assert same.n_bytes == dense.n_bytes
+        assert same.profile.n_bytes == dense.profile.n_bytes
         assert same.ai == dense.ai
         assert same.e_task_pj == dense.e_task_pj
         assert same.latency == dense.latency

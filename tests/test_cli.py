@@ -12,7 +12,8 @@ import pytest
 import roofline_lab
 
 from roofline_lab.cli import main
-from roofline_lab.config_io import fixture_path
+from roofline_lab.config_io import fixture_path, parse_scenario
+from roofline_lab.report import load_scenario
 
 
 def run(*argv) -> tuple[int, str]:
@@ -257,7 +258,39 @@ class TestOracleCheckVerb:
         assert out.strip().endswith("PASS")
 
 
+def _knob_fields(name: str) -> list[tuple[str, str, str]]:
+    """(scenario, knob, the field its error names) for every knob that
+    acts on a shipped scenario; an IMC macro replaces the compute array,
+    so A_op, E_op and the array axes act only without one."""
+    loaded = load_scenario(parse_scenario(fixture_path(f"{name}.scenario")))
+    knobs = {"f_clk": "clock", "precision": "precision_bits", "density": "density"}
+    for lvl in loaded.arch.levels:
+        knobs[f"B_{lvl.name}"] = f"level {lvl.name}: bandwidth"
+        knobs[f"E_{lvl.name}"] = f"level {lvl.name}: energy_per_byte"
+    if name == "imc256":
+        knobs["P_R"] = "axis row"
+    else:
+        knobs.update({"A_op": "throughput_scale", "E_op": "energy_per_op"})
+        knobs.update({f"dim:{a}": f"axis {a}" for a, _ in loaded.arch.array.dims})
+    return [(name, knob, field) for knob, field in knobs.items()]
+
+
 class TestSweep:
+    @pytest.mark.parametrize("name, knob, field", [
+        case for name in ("fig3_ai16", "gemm_dense", "gemm_2to4", "imc256")
+        for case in _knob_fields(name)])
+    def test_out_of_range_value_fails_naming_the_field(self, capsys, name, knob, field):
+        zero_in_range = knob == "E_op" or knob.startswith("E_L")  # free energy is fine
+        for value in ("0", "-1"):
+            code, out = run("sweep", "--scenario", scenario_arg(f"{name}.scenario"),
+                            "--param", knob, "--values", value)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if zero_in_range and value == "0":
+                assert code == 0 and len(out.splitlines()) == 2
+            else:
+                assert code in (1, 2) and field in err, (value, code, err)
+
     def test_weight_precision_sweep_doubles_plateau(self):
         code, out = run(
             "sweep", "--scenario", scenario_arg("fig3_ai16.scenario"),

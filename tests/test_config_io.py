@@ -107,9 +107,17 @@ class TestErrors:
          "workload.operands[0].precision_bits"),
         ("os_map.map", parse_mapping, ("spatial", 0, "factor"), "mapping.spatial[0].factor"),
         ("os_map.map", parse_mapping, ("cores",), "mapping.cores"),
+        ("fig3.arch", parse_arch, ("array", "dims", 0, 1), "arch.array.dims[0][1]"),
+        ("fig3.arch", parse_arch, ("levels", 0, "capacity"), "arch.levels[0].capacity"),
+        ("gemm.wl", parse_workload, ("dims", 1, 1), "workload.dims[1][1]"),
+        ("gemm.wl", parse_workload, ("operands", 2, "accum_bits"),
+         "workload.operands[2].accum_bits"),
+        ("os_map.map", parse_mapping, ("temporal", 0, 1, 1), "mapping.temporal[0][1][1]"),
+        ("os_map.map", parse_mapping, ("reload_cycles_per_tile",),
+         "mapping.reload_cycles_per_tile"),
     ])
     def test_non_integer_count_is_not_truncated(self, tmp_path, fixture, parse, keys, where):
-        for bad in (2.5, 2.0):
+        for bad in (2.5, 2.0, True):
             data = json.loads(fixture_path(fixture).read_text())
             target = data
             for key in keys[:-1]:
@@ -120,6 +128,54 @@ class TestErrors:
             with pytest.raises(ParseError) as err:
                 parse(path)
             assert f"{where}: expected an integer" in str(err.value)
+
+    @pytest.mark.parametrize("fixture, parse, keys, bad, where, message", [
+        ("os_map.map", parse_mapping, ("core_split",), ["B", True],
+         "mapping.core_split[1]", "expected an integer"),
+        ("os_map.map", parse_mapping, ("core_split",), ["B", 0],
+         "mapping.core_split[1]", "must be >= 1 (got 0)"),
+        ("fig3.arch", parse_arch, ("levels", 1, "capacity"), 0,
+         "arch.levels[1].capacity", "must be > 0 (got 0)"),
+        ("gemm.wl", parse_workload, ("operands", 2, "accum_bits"), "x",
+         "workload.operands[2].accum_bits", "expected an integer"),
+        ("gemm.wl", parse_workload, ("operands", 2, "accum_bits"), 0,
+         "workload.operands[2].accum_bits", "must be >= 1 (got 0)"),
+        *[("gemm.wl", parse_workload, ("operands", 0, "bytes_per_element"), bad,
+           "workload.operands[0].bytes_per_element", message)
+          for bad, message in (("x", "expected a number"), (True, "expected a number"),
+                               (-1, "must be > 0.0 (got -1)"),
+                               (0, "must be > 0.0 (got 0)"))],
+    ])
+    def test_bad_value_names_the_field(self, tmp_path, fixture, parse, keys, bad, where,
+                                       message):
+        data = json.loads(fixture_path(fixture).read_text())
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = bad
+        path = tmp_path / fixture
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as err:
+            parse(path)
+        assert f"{where}: {message}" in str(err.value)
+
+    @pytest.mark.parametrize("raw", [
+        b'{"name": "caf\xe9"}',  # Latin-1
+        '{"name": "x"}'.encode("utf-16"),
+    ], ids=["latin-1", "utf-16"])
+    def test_non_utf8_file_is_a_parse_error_naming_it(self, tmp_path, raw):
+        p = tmp_path / "latin.wl"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError) as err:
+            parse_workload(p)
+        assert err.value.path == str(p) and "not UTF-8 text" in str(err.value)
+
+    def test_byte_order_mark_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "bom.arch"
+        p.write_bytes(b"\xef\xbb\xbf" + fixture_path("fig3.arch").read_bytes())
+        with pytest.raises(ParseError) as err:
+            parse_arch(p)
+        assert "line 1" in str(err.value) and "BOM" in str(err.value)
 
     def test_unknown_key_is_an_error(self, tmp_path):
         data = json.loads(fixture_path("fig3.arch").read_text())

@@ -1,0 +1,115 @@
+"""Scenario evaluation in two stages: the traffic stage (transform chain
+and access counts), then the cost stage (roofs, task cost, point).  A
+sweep counts each distinct traffic once per call and must print the
+rows that evaluating every swept point on its own prints."""
+
+import pytest
+
+from roofline_lab import analysis, mapping, report
+from roofline_lab.config_io import fixture_path, parse_scenario
+from roofline_lab.transforms import ImcMacro
+
+SCENARIOS = ("fig3_ai16", "gemm_2to4", "gemm_dense", "imc256")
+
+
+def _scenario(name):
+    return report.load_scenario(parse_scenario(fixture_path(f"{name}.scenario")))
+
+
+def _sweeps(loaded) -> dict[str, list[float]]:
+    """In-range values of every knob that acts on the scenario, unsorted
+    and with a repeat.  The IMC macro replaces the compute array, so
+    A_op, E_op and the array axes act only without one."""
+    arch = loaded.arch
+    out = {
+        "f_clk": [arch.clock, arch.clock * 2, arch.clock / 2, arch.clock],
+        "precision": [8, 4, 2, 4, 16],
+        "density": [1.0, 0.5, 0.25, 0.5],
+    }
+    for lvl in arch.levels:
+        out[f"B_{lvl.name}"] = [lvl.bandwidth * f for f in (1, 4, 0.25, 4)]
+        out[f"E_{lvl.name}"] = [lvl.energy_per_byte * f for f in (1, 2, 0, 0.5)]
+    if any(isinstance(t, ImcMacro) for t in loaded.transforms):
+        out["P_R"] = [256, 128, 512, 128]
+    else:
+        peak = arch.array.a_op
+        out["A_op"] = [peak, peak * 2, peak / 2, peak * 2]
+        out["E_op"] = [arch.array.energy_per_op * f for f in (1, 0.5, 0, 2)]
+        for axis, size in arch.array.dims:
+            out[f"dim:{axis}"] = [size, size * 2, size // 2, size * 2]
+    return out
+
+
+CASES = [(name, knob) for name in SCENARIOS for knob in _sweeps(_scenario(name))]
+
+
+class TestSweepRows:
+    @pytest.mark.parametrize("overlap", ["overlapped", "serialized"])
+    @pytest.mark.parametrize("name, knob", CASES)
+    def test_rows_equal_the_per_point_reference(self, name, knob, overlap):
+        loaded = _scenario(name)
+        values = _sweeps(loaded)[knob]
+        expected = []
+        for v in values:
+            r = report.run_scenario(report.apply_sweep_value(loaded, knob, v), overlap)
+            expected.append({"parameter": knob, "value": report._g(v),
+                             **report.analysis_row(r)})
+        assert report.run_sweep(loaded, knob, values, overlap) == expected
+
+
+class TestOneCountPerSweep:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = []
+        count = mapping.count_accesses
+
+        def counting(*args):
+            calls.append(args)
+            return count(*args)
+
+        for module in (analysis, report):
+            monkeypatch.setattr(module, "count_accesses", counting, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("knob, values", [
+        ("B_L2", [8.0, 16.0, 32.0, 64.0]),
+        ("E_op", [0.25, 0.5, 1.0]),
+        ("f_clk", [5e8, 1e9, 2e9]),
+    ])
+    def test_cost_knob_counts_once(self, counts, knob, values):
+        report.run_sweep(_scenario("gemm_dense"), knob, values)
+        assert len(counts) == 1
+        report.run_sweep(_scenario("gemm_dense"), knob, values)
+        assert len(counts) == 2  # nothing is kept across calls
+
+    def test_precision_counts_once_per_value(self, counts):
+        report.run_sweep(_scenario("gemm_dense"), "precision", [8, 4, 2])
+        assert len(counts) == 3
+
+    def test_one_profile_backs_every_row(self, monkeypatch):
+        results = []
+        evaluate = report._evaluate
+
+        def recording(*args, **kwargs):
+            results.append(evaluate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(report, "_evaluate", recording)
+        report.run_sweep(_scenario("gemm_dense"), "B_L2", [8.0, 16.0, 32.0])
+        assert len(results) == 3
+        assert all(r.profile is results[0].profile for r in results)
+
+    def test_a_bad_later_value_is_still_validated(self):
+        with pytest.raises(ValueError, match=r"level L2: bandwidth must be > 0 \(got 0.0\)"):
+            report.run_sweep(_scenario("gemm_dense"), "B_L2", [16.0, 0.0])
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_result_records_are_immutable(self, name):
+        r = report.run_scenario(_scenario(name))
+        traffic = next(iter(r.profile.traffic.values()))
+        for record, field in ((r, "label"), (r.point, "ai_ref"), (r.latency, "cycles"),
+                              (r.utilization, "spatial"), (traffic, "events")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
