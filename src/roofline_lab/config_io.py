@@ -95,7 +95,7 @@ def _named_count(path: str | Path, where: str, pair: Any, shape: str) -> tuple[s
 
 def _load_json(path: str | Path) -> Any:
     try:
-        with open(path, "rb") as f:
+        with open(path, "rb", buffering=0) as f:  # one read: no buffer to fill
             data = f.read()
     except OSError as exc:
         raise ParseError(path, "<file>", str(exc)) from exc
