@@ -102,18 +102,20 @@ def _load_triple(args) -> tuple:
             parse_mapping(args.mapping))
 
 
-def _scenario_from_args(args, path: str | None) -> LoadedScenario:
-    """The scenario at ``path``, else the --arch/--workload/--mapping
-    triple, with the --ai-ref-level override applied."""
+def _scenario_from_args(args, path: str | None, parsed: dict | None = None
+                        ) -> LoadedScenario:
+    """The scenario at ``path`` (its files parsed through ``parsed``, as
+    in ``load_scenario``), else the --arch/--workload/--mapping triple,
+    with the --ai-ref-level override applied."""
     if path is not None:
-        loaded = load_scenario(parse_scenario(path))
+        loaded = load_scenario(parse_scenario(path), parsed)
     else:
         arch, wl, mapping = _load_triple(args)
         loaded = LoadedScenario(label=Path(args.workload).stem, arch=arch, workload=wl,
                                 mapping=mapping, ai_profile=None, ref_level=None,
                                 transforms=())
     if args.ai_ref_level is not None:
-        loaded.ref_level = args.ai_ref_level
+        loaded = loaded._replace(ref_level=args.ai_ref_level)
     return loaded
 
 
@@ -168,7 +170,8 @@ def _cmd_sweep(args, stdout) -> int:
 
 
 def _cmd_compare(args, stdout) -> int:
-    results = [run_scenario(_scenario_from_args(args, spath), overlap=args.overlap)
+    parsed: dict = {}  # files shared by the scenarios, for this call only
+    results = [run_scenario(_scenario_from_args(args, spath, parsed), overlap=args.overlap)
                for spath in args.scenario]
     rows = [analysis_row(r) for r in results]
     stdout.write(rows_to_csv(ANALYSIS_FIELDS, rows))

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .model import (
     ArchSpec,
@@ -324,8 +323,7 @@ def mapping_to_dict(mapping: MappingSpec) -> dict:
 # scenarios
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A labelled (arch, workload, mapping-or-AI, transform chain)."""
 
     label: str

@@ -35,7 +35,6 @@ move at the declared output width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -45,7 +44,9 @@ from .model import (
     ArchSpec,
     MappingSpec,
     OperandSpec,
+    Record,
     WorkloadSpec,
+    _set,
     tile_elements,
     valid_tile_extents,
 )
@@ -96,8 +97,7 @@ class OperandTraffic(NamedTuple):
         return self.events * self.elements_per_event * self.bytes_per_element * self.access_factor
 
 
-@dataclass(frozen=True)
-class AccessProfile:
+class AccessProfile(Record):
     """Per-boundary access counts for every operand.
 
     ``traffic[(level, operand)]`` describes the crossings of the
@@ -105,10 +105,16 @@ class AccessProfile:
     is the summed byte count N_Li used by the roofline equations.
     """
 
-    n_op: int
-    levels: tuple[int, ...]
-    traffic: dict[tuple[int, str], OperandTraffic]
-    stationary: dict[int, str | None]
+    _fields = ("n_op", "levels", "traffic", "stationary")
+    __slots__ = _fields + ("__dict__",)  # n_bytes is cached there
+
+    def __init__(self, n_op: int, levels: tuple[int, ...],
+                 traffic: dict[tuple[int, str], OperandTraffic],
+                 stationary: dict[int, str | None]):
+        _set(self, "n_op", n_op)
+        _set(self, "levels", levels)
+        _set(self, "traffic", traffic)
+        _set(self, "stationary", stationary)
 
     @cached_property
     def n_bytes(self) -> dict[int, float]:

@@ -7,15 +7,19 @@ subset of dimensions its index depends on.  A mapping assigns loop
 dimensions spatially (array axes, cores) and temporally (per-level
 tiled trip counts).
 
-All types are immutable after construction.  Constructors do not raise
-on semantic problems; ``validate`` returns the full list of violations
-so a caller (or the CLI) can report them in one pass.
+All types are immutable values: records built on ``Record`` compare,
+hash and print by their fields, assigning a field raises
+``AttributeError``, and ``_replace(**changes)`` returns a copy with
+some fields changed (defaults derived in ``__init__`` are derived
+again).  Constructors do not raise on semantic problems; ``validate``
+returns the full list of violations so a caller (or the CLI) can
+report them in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 INPUT = "input"
 OUTPUT = "output"
@@ -34,8 +38,55 @@ def _bytes_per_element(bits: int) -> float:
     return float(math.ceil(bits / 8))
 
 
-@dataclass(frozen=True)
-class MemoryLevel:
+_set = object.__setattr__  # how a Record's __init__ writes its fields
+
+
+class Record:
+    """Base of the records the model reads in its loops.
+
+    A subclass lists its fields, in constructor order, in ``_fields``,
+    keeps them in ``__slots__`` (plus any attribute derived from them,
+    and ``__dict__`` where a ``cached_property`` needs one) and writes
+    them in its own ``__init__`` with ``_set``.  Records compare and
+    hash by their fields, and only records of the same class are equal.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls._fields)  # one C call for eq and hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, built by ``__init__``."""
+        values = dict(zip(self._fields, self._values(self)))
+        values.update(changes)
+        return self.__class__(**values)
+
+
+class MemoryLevel(Record):
     """One level of the memory hierarchy.
 
     ``bandwidth`` is in bytes/cycle, ``energy_per_byte`` in pJ/byte.
@@ -43,15 +94,19 @@ class MemoryLevel:
     ``level_index`` starts at 1 for the level closest to the array.
     """
 
-    name: str
-    bandwidth: float
-    energy_per_byte: float
-    capacity: int | None = None
-    level_index: int = 1
+    __slots__ = _fields = ("name", "bandwidth", "energy_per_byte", "capacity",
+                           "level_index")
+
+    def __init__(self, name: str, bandwidth: float, energy_per_byte: float,
+                 capacity: int | None = None, level_index: int = 1):
+        _set(self, "name", name)
+        _set(self, "bandwidth", bandwidth)
+        _set(self, "energy_per_byte", energy_per_byte)
+        _set(self, "capacity", capacity)
+        _set(self, "level_index", level_index)
 
 
-@dataclass(frozen=True)
-class ComputeArray:
+class ComputeArray(Record):
     """A rectangular array of MAC units.
 
     ``dims`` are (axis label, size) pairs; one MAC per lattice point,
@@ -63,10 +118,15 @@ class ComputeArray:
     touching the physical lattice.
     """
 
-    dims: tuple[tuple[str, int], ...]
-    energy_per_op: float  # pJ per operation
-    ops_per_mac: int = 2
-    throughput_scale: float = 1.0
+    __slots__ = _fields = ("dims", "energy_per_op", "ops_per_mac", "throughput_scale")
+
+    def __init__(self, dims: tuple[tuple[str, int], ...],
+                 energy_per_op: float,  # pJ per operation
+                 ops_per_mac: int = 2, throughput_scale: float = 1.0):
+        _set(self, "dims", dims)
+        _set(self, "energy_per_op", energy_per_op)
+        _set(self, "ops_per_mac", ops_per_mac)
+        _set(self, "throughput_scale", throughput_scale)
 
     @property
     def a_op(self) -> float:
@@ -82,8 +142,7 @@ class ComputeArray:
         raise KeyError(f"no array axis named {axis!r}")
 
 
-@dataclass(frozen=True)
-class ArchSpec:
+class ArchSpec(Record):
     """Compute array + memory hierarchy + clock.
 
     ``latency_overlap`` selects whether transfers and compute proceed
@@ -93,11 +152,17 @@ class ArchSpec:
     the reference point by the quantization transform.
     """
 
-    array: ComputeArray
-    levels: tuple[MemoryLevel, ...]
-    clock: float  # Hz
-    latency_overlap: str = OVERLAPPED
-    base_precision_bits: int = 8
+    __slots__ = _fields = ("array", "levels", "clock", "latency_overlap",
+                           "base_precision_bits")
+
+    def __init__(self, array: ComputeArray, levels: tuple[MemoryLevel, ...],
+                 clock: float,  # Hz
+                 latency_overlap: str = OVERLAPPED, base_precision_bits: int = 8):
+        _set(self, "array", array)
+        _set(self, "levels", levels)
+        _set(self, "clock", clock)
+        _set(self, "latency_overlap", latency_overlap)
+        _set(self, "base_precision_bits", base_precision_bits)
 
     @property
     def n_levels(self) -> int:
@@ -108,48 +173,48 @@ class ArchSpec:
         return self.levels[index - 1]
 
 
-@dataclass(frozen=True)
-class LoopDim:
-    name: str
-    size: int
+class LoopDim(Record):
+    __slots__ = _fields = ("name", "size")
+
+    def __init__(self, name: str, size: int):
+        _set(self, "name", name)
+        _set(self, "size", size)
 
 
-@dataclass(frozen=True)
-class OperandSpec:
+class OperandSpec(Record):
     """A tensor operand and its index signature.
 
     ``relevant_dims`` lists the loop dimensions the operand's index
     depends on; iterating any other dimension leaves the same element
     (or tile) in place, which is exactly what the reuse analysis
-    exploits.  ``accum_bits`` is the partial-sum width for output-like
-    operands (defaulted in __post_init__); ``bytes_per_element`` can
-    be overridden with a fractional value by the quantization pass
-    (block metadata amortized per element), otherwise it is the
-    whole-byte footprint of ``precision_bits``.
+    exploits.  ``relevant`` is the same dims as a frozenset, built once
+    here; it is derived, so it is not a field.  ``accum_bits`` is the
+    partial-sum width for output-like operands (defaulted here when
+    ``None``); ``bytes_per_element`` can be overridden with a
+    fractional value by the quantization pass (block metadata amortized
+    per element), otherwise it is the whole-byte footprint of
+    ``precision_bits``.
     """
 
-    name: str
-    role: str  # INPUT or OUTPUT
-    relevant_dims: tuple[str, ...]
-    precision_bits: int = 8
-    accum_bits: int | None = None
-    bytes_per_element: float | None = None
+    _fields = ("name", "role", "relevant_dims", "precision_bits", "accum_bits",
+               "bytes_per_element")
+    __slots__ = _fields + ("relevant",)
 
-    def __post_init__(self):
-        if self.role == OUTPUT and self.accum_bits is None:
-            object.__setattr__(
-                self,
-                "accum_bits",
-                min(ACCUM_WIDTH_FACTOR * self.precision_bits, ACCUM_WIDTH_CAP),
-            )
-        if self.bytes_per_element is None:
-            object.__setattr__(
-                self, "bytes_per_element", _bytes_per_element(self.precision_bits)
-            )
-
-    @property
-    def relevant(self) -> frozenset[str]:
-        return frozenset(self.relevant_dims)
+    def __init__(self, name: str,
+                 role: str,  # INPUT or OUTPUT
+                 relevant_dims: tuple[str, ...], precision_bits: int = 8,
+                 accum_bits: int | None = None, bytes_per_element: float | None = None):
+        if role == OUTPUT and accum_bits is None:
+            accum_bits = min(ACCUM_WIDTH_FACTOR * precision_bits, ACCUM_WIDTH_CAP)
+        if bytes_per_element is None:
+            bytes_per_element = _bytes_per_element(precision_bits)
+        _set(self, "name", name)
+        _set(self, "role", role)
+        _set(self, "relevant_dims", relevant_dims)
+        _set(self, "precision_bits", precision_bits)
+        _set(self, "accum_bits", accum_bits)
+        _set(self, "bytes_per_element", bytes_per_element)
+        _set(self, "relevant", frozenset(relevant_dims))
 
     @property
     def accum_bytes_per_element(self) -> float:
@@ -158,17 +223,20 @@ class OperandSpec:
         return _bytes_per_element(self.accum_bits)
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Record):
     """A named loop nest with operand dependency signatures.
 
     Each full index tuple is one MAC, so the task operation count is
     ``n_op = 2 * prod(dim sizes)``.
     """
 
-    name: str
-    dims: tuple[LoopDim, ...]
-    operands: tuple[OperandSpec, ...]
+    __slots__ = _fields = ("name", "dims", "operands")
+
+    def __init__(self, name: str, dims: tuple[LoopDim, ...],
+                 operands: tuple[OperandSpec, ...]):
+        _set(self, "name", name)
+        _set(self, "dims", dims)
+        _set(self, "operands", operands)
 
     @property
     def n_op(self) -> int:
@@ -195,17 +263,18 @@ class WorkloadSpec:
         raise KeyError("workload has no output-like operand")
 
 
-@dataclass(frozen=True)
-class SpatialUnroll:
+class SpatialUnroll(Record):
     """One parallel (parfor) assignment: dim unrolled on an array axis."""
 
-    axis: str
-    dim: str
-    factor: int
+    __slots__ = _fields = ("axis", "dim", "factor")
+
+    def __init__(self, axis: str, dim: str, factor: int):
+        _set(self, "axis", axis)
+        _set(self, "dim", dim)
+        _set(self, "factor", factor)
 
 
-@dataclass(frozen=True)
-class MappingSpec:
+class MappingSpec(Record):
     """Spatial and temporal allocation of a workload onto an architecture.
 
     ``temporal`` holds one loop list per memory level, level 1 first;
@@ -223,12 +292,20 @@ class MappingSpec:
     double buffered and free.
     """
 
-    spatial: tuple[SpatialUnroll, ...]
-    temporal: tuple[tuple[tuple[str, int], ...], ...]
-    cores: int = 1
-    core_split: tuple[str, int] | None = None
-    pinned_operand: str | None = None
-    reload_cycles_per_tile: int | None = None
+    __slots__ = _fields = ("spatial", "temporal", "cores", "core_split",
+                           "pinned_operand", "reload_cycles_per_tile")
+
+    def __init__(self, spatial: tuple[SpatialUnroll, ...],
+                 temporal: tuple[tuple[tuple[str, int], ...], ...], cores: int = 1,
+                 core_split: tuple[str, int] | None = None,
+                 pinned_operand: str | None = None,
+                 reload_cycles_per_tile: int | None = None):
+        _set(self, "spatial", spatial)
+        _set(self, "temporal", temporal)
+        _set(self, "cores", cores)
+        _set(self, "core_split", core_split)
+        _set(self, "pinned_operand", pinned_operand)
+        _set(self, "reload_cycles_per_tile", reload_cycles_per_tile)
 
     def temporal_at(self, level_index: int) -> tuple[tuple[str, int], ...]:
         """Loops tiled at a level (1-based); empty past the declared lists."""

@@ -26,8 +26,8 @@ desk-scale oracle, not a simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .mapping import fold_passes, output_bytes_per_element
 from .model import (
@@ -46,23 +46,21 @@ class IterationCapExceeded(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     cycle: int
     level: int
     operand: str
     bytes: float
 
 
-@dataclass
-class EnumerationTrace:
+class EnumerationTrace(NamedTuple):
     """Counted accesses per (boundary level, operand), plus optional
     per-event records for dumping."""
 
     events: dict[tuple[int, str], int]
     bytes: dict[tuple[int, str], float]
     revisited: dict[tuple[int, str], bool]
-    records: list[TraceRecord] = field(default_factory=list)
+    records: tuple[TraceRecord, ...] = ()
 
     def dump_lines(self) -> list[str]:
         """One text record per event: ``cycle,level,operand,bytes``."""
@@ -71,8 +69,7 @@ class EnumerationTrace:
         ]
 
 
-@dataclass
-class CycleSimResult:
+class CycleSimResult(NamedTuple):
     cycles: float
     busy: dict[str, float]  # per resource: "compute", "L1", "L2", ...
     n_tiles: int
@@ -212,12 +209,10 @@ def enumerate_accesses(
     walk.run()
     per_event = walk.event_bytes()
     total_bytes = {key: walk.events[key] * per_event[key] for key in walk.events}
-    records: list[TraceRecord] = []
-    if record_events:
-        records = [
-            TraceRecord(cycle, b, name, per_event[(b, name)])
-            for cycle, b, name in walk._record_pending
-        ]
+    records = tuple(
+        TraceRecord(cycle, b, name, per_event[(b, name)])
+        for cycle, b, name in walk._record_pending
+    )
     return EnumerationTrace(
         events=dict(walk.events),
         bytes=total_bytes,

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .analysis import (
     AnalysisResult,
@@ -39,8 +39,7 @@ class SweepParameterError(ValueError):
     pass
 
 
-@dataclass
-class LoadedScenario:
+class LoadedScenario(NamedTuple):
     label: str
     arch: ArchSpec
     workload: WorkloadSpec
@@ -50,10 +49,21 @@ class LoadedScenario:
     transforms: tuple[object, ...]
 
 
-def load_scenario(scenario: Scenario) -> LoadedScenario:
-    arch = parse_arch(scenario.arch_path)
-    wl = parse_workload(scenario.workload_path)
-    mapping = parse_mapping(scenario.mapping_path) if scenario.mapping_path else None
+def load_scenario(scenario: Scenario, parsed: dict | None = None) -> LoadedScenario:
+    """Parse the files the scenario names.  ``parsed`` maps (parser,
+    path) to a spec already parsed and takes each new one, so scenarios
+    loaded with one dict parse a file they share once."""
+    parsed = {} if parsed is None else parsed
+
+    def parse(parser, path):
+        key = (parser, path)
+        if key not in parsed:
+            parsed[key] = parser(path)
+        return parsed[key]
+
+    arch = parse(parse_arch, scenario.arch_path)
+    wl = parse(parse_workload, scenario.workload_path)
+    mapping = parse(parse_mapping, scenario.mapping_path) if scenario.mapping_path else None
     return LoadedScenario(
         label=scenario.label,
         arch=arch,
@@ -92,11 +102,10 @@ def scenario_traffic(loaded: LoadedScenario, count=None) -> Traffic:
             sparsity = _combine_sparsity(sparsity, apply_sparsity(wl, t), wl.n_op)
         elif isinstance(t, ImcMacro):
             bundle = imc_macro_as_arch(t)
-            arch = replace(arch, array=bundle.array)
+            arch = arch._replace(array=bundle.array)
             if mapping is None:
                 raise ValueError("an IMC transform needs a concrete mapping")
-            mapping = replace(
-                mapping,
+            mapping = mapping._replace(
                 pinned_operand=bundle.pinned_operand,
                 reload_cycles_per_tile=bundle.reload_cycles_per_tile,
             )
@@ -225,21 +234,21 @@ def apply_sweep_value(loaded: LoadedScenario, parameter: str,
         base = arch.array.ops_per_mac
         for _, size in arch.array.dims:
             base *= size
-        arch = replace(arch, array=replace(arch.array, throughput_scale=value / base))
+        arch = arch._replace(array=arch.array._replace(throughput_scale=value / base))
     elif parameter == "E_op":
-        arch = replace(arch, array=replace(arch.array, energy_per_op=value))
+        arch = arch._replace(array=arch.array._replace(energy_per_op=value))
     elif parameter == "f_clk":
-        arch = replace(arch, clock=value)
+        arch = arch._replace(clock=value)
     elif parameter.startswith("B_") or parameter.startswith("E_"):
         field = "bandwidth" if parameter.startswith("B_") else "energy_per_byte"
         name = parameter[2:]
         if not any(lvl.name == name for lvl in arch.levels):
             raise SweepParameterError(f"no memory level named {name!r}")
         levels = tuple(
-            replace(lvl, **{field: value}) if lvl.name == name else lvl
+            lvl._replace(**{field: value}) if lvl.name == name else lvl
             for lvl in arch.levels
         )
-        arch = replace(arch, levels=levels)
+        arch = arch._replace(levels=levels)
     elif parameter == "precision":
         transforms.append(QuantConfig(precision_bits={"W": int(value)}))
     elif parameter == "density":
@@ -253,7 +262,7 @@ def apply_sweep_value(loaded: LoadedScenario, parameter: str,
                    None)
         if idx is None:
             raise SweepParameterError("P_R sweep needs an IMC transform in the chain")
-        transforms[idx] = replace(transforms[idx], rows=int(value))
+        transforms[idx] = transforms[idx]._replace(rows=int(value))
     elif parameter.startswith("dim:"):
         axis = parameter[4:]
         if not any(a == axis for a, _ in arch.array.dims):
@@ -261,21 +270,13 @@ def apply_sweep_value(loaded: LoadedScenario, parameter: str,
         dims = tuple(
             (a, int(value)) if a == axis else (a, s) for a, s in arch.array.dims
         )
-        arch = replace(arch, array=replace(arch.array, dims=dims))
+        arch = arch._replace(array=arch.array._replace(dims=dims))
     else:
         raise SweepParameterError(
             f"unknown sweep parameter {parameter!r}; one of {SWEEPABLE}"
         )
 
-    return LoadedScenario(
-        label=loaded.label,
-        arch=arch,
-        workload=wl,
-        mapping=loaded.mapping,
-        ai_profile=loaded.ai_profile,
-        ref_level=loaded.ref_level,
-        transforms=tuple(transforms),
-    )
+    return loaded._replace(arch=arch, transforms=tuple(transforms))
 
 
 SWEEP_FIELDS = ("parameter", "value") + ANALYSIS_FIELDS

@@ -39,7 +39,6 @@ log-log space to within CHORD_TOL_DECADES.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -49,15 +48,14 @@ from .mapping import (  # task_latency and LatencyResult are re-exported here
     active_cores,
     task_latency,
 )
-from .model import ArchSpec, MappingSpec, WorkloadSpec
+from .model import ArchSpec, MappingSpec, Record, WorkloadSpec, _set
 
 REL_TOL = 1e-9
 DEFAULT_REF_LEVEL = 2
 CHORD_TOL_DECADES = 1e-3  # energy polyline vs its roof, log-log
 
 
-@dataclass(frozen=True)
-class RooflineCurve:
+class RooflineCurve(Record):
     """A closed-form ceiling with its break points.
 
     ``kind`` is "throughput" (ops/cycle) or "energy" (ops/pJ).
@@ -67,9 +65,14 @@ class RooflineCurve:
     energy share drops to the compute share.
     """
 
-    kind: str
-    knees: tuple[tuple[float, str], ...]
-    asymptote: float  # plateau ops/cycle, or 1/E_op ops/pJ
+    _fields = ("kind", "knees", "asymptote")
+    __slots__ = _fields + ("__dict__",)  # samples is cached there
+
+    def __init__(self, kind: str, knees: tuple[tuple[float, str], ...],
+                 asymptote: float):  # plateau ops/cycle, or 1/E_op ops/pJ
+        _set(self, "kind", kind)
+        _set(self, "knees", knees)
+        _set(self, "asymptote", asymptote)
 
     def value_at(self, ai_ref: float) -> float:
         raise NotImplementedError
@@ -86,10 +89,17 @@ class RooflineCurve:
         return self._vertices(sorted({lo, hi, *knee_ais}))
 
 
-@dataclass(frozen=True)
 class ThroughputRoofline(RooflineCurve):
-    slopes: dict[int, float]  # r_i * B_Li
-    level_names: dict[int, str]
+    __slots__ = ("slopes", "level_names")
+    _fields = RooflineCurve._fields + __slots__
+
+    def __init__(self, kind: str, knees: tuple[tuple[float, str], ...],
+                 asymptote: float,
+                 slopes: dict[int, float],  # r_i * B_Li
+                 level_names: dict[int, str]):
+        RooflineCurve.__init__(self, kind, knees, asymptote)
+        _set(self, "slopes", slopes)
+        _set(self, "level_names", level_names)
 
     def value_at(self, ai_ref: float) -> float:
         if not self.slopes:
@@ -109,11 +119,18 @@ class ThroughputRoofline(RooflineCurve):
         return "compute-bound"
 
 
-@dataclass(frozen=True)
 class EnergyRoofline(RooflineCurve):
-    e_op: float
-    terms: dict[int, float]  # E_Li / r_i
-    level_names: dict[int, str]
+    __slots__ = ("e_op", "terms", "level_names")
+    _fields = RooflineCurve._fields + __slots__
+
+    def __init__(self, kind: str, knees: tuple[tuple[float, str], ...],
+                 asymptote: float, e_op: float,
+                 terms: dict[int, float],  # E_Li / r_i
+                 level_names: dict[int, str]):
+        RooflineCurve.__init__(self, kind, knees, asymptote)
+        _set(self, "e_op", e_op)
+        _set(self, "terms", terms)
+        _set(self, "level_names", level_names)
 
     def value_at(self, ai_ref: float) -> float:
         return 1.0 / (self.e_op + sum([t / ai_ref for t in self.terms.values()]))

@@ -20,7 +20,9 @@ the analysis layer folds in:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .model import (
     OUTPUT,
@@ -52,8 +54,7 @@ class SparsityConfigError(ValueError):
 # quantization
 
 
-@dataclass(frozen=True)
-class QuantConfig:
+class QuantConfig(NamedTuple):
     """Precision assignment with optional block (shared-exponent) format.
 
     ``precision_bits`` maps operand name to its new width.  Blocked
@@ -132,12 +133,11 @@ def apply_quantization(
         )
 
     array = arch.array
-    new_array = replace(
-        array,
+    new_array = array._replace(
         energy_per_op=array.energy_per_op * energy_scale,
         throughput_scale=array.throughput_scale * compute_scale,
     )
-    new_arch = replace(arch, array=new_array)
+    new_arch = arch._replace(array=new_array)
 
     new_operands = []
     for op in wl.operands:
@@ -145,9 +145,9 @@ def apply_quantization(
         bpe = quantized_bytes_per_element(bits, q.block_size, q.block_metadata_bits)
         accum = None  # recomputed from the new width by OperandSpec
         new_operands.append(
-            replace(op, precision_bits=bits, accum_bits=accum, bytes_per_element=bpe)
+            op._replace(precision_bits=bits, accum_bits=accum, bytes_per_element=bpe)
         )
-    new_wl = replace(wl, operands=tuple(new_operands))
+    new_wl = wl._replace(operands=tuple(new_operands))
     return new_arch, new_wl
 
 
@@ -161,8 +161,7 @@ def bit_serial_cycle_factor(q: QuantConfig) -> float:
 # sparsity
 
 
-@dataclass(frozen=True)
-class SparsityConfig:
+class SparsityConfig(NamedTuple):
     """Per-operand density plus the storage-format cost of skipping zeros.
 
     ``density`` maps operand name to its nonzero fraction; operands not
@@ -174,15 +173,14 @@ class SparsityConfig:
     """
 
     mode: str = DENSE
-    density: dict[str, float] = field(default_factory=dict)
+    density: Mapping[str, float] = MappingProxyType({})
     n: int | None = None
     m: int | None = None
     index_bits: int = DEFAULT_INDEX_BITS
     utilization_penalty: float = 1.0
 
 
-@dataclass(frozen=True)
-class SparsityModel:
+class SparsityModel(NamedTuple):
     """Traffic model handed to the analysis layer."""
 
     effective_ops: float
@@ -248,8 +246,7 @@ def apply_sparsity(wl: WorkloadSpec, s: SparsityConfig) -> SparsityModel:
 # in-memory compute
 
 
-@dataclass(frozen=True)
-class ImcMacro:
+class ImcMacro(NamedTuple):
     """A row-parallel in-memory MVM macro.
 
     ``rows`` inputs feed every column in parallel; each column
@@ -269,8 +266,7 @@ class ImcMacro:
     reload_overlapped: bool = False
 
 
-@dataclass(frozen=True)
-class ImcDynamicRange:
+class ImcDynamicRange(NamedTuple):
     levels: int
     output_bits: int
 
@@ -287,8 +283,7 @@ def imc_dynamic_range(m: ImcMacro) -> ImcDynamicRange:
     return ImcDynamicRange(levels=levels, output_bits=math.ceil(math.log2(levels)))
 
 
-@dataclass(frozen=True)
-class ImcArchBundle:
+class ImcArchBundle(NamedTuple):
     """An IMC macro expressed as mapping-engine inputs.
 
     The compute array spans (rows x cols); weights live in the bit
@@ -322,8 +317,7 @@ def imc_macro_as_arch(m: ImcMacro, weight_operand: str = "W") -> ImcArchBundle:
     )
 
 
-@dataclass(frozen=True)
-class ImcMappingTradeoff:
+class ImcMappingTradeoff(NamedTuple):
     """Fully weight-static mapping: store-once vs replicate-for-balance.
 
     Storing each weight once leaves cells holding low-reuse weights

@@ -8,7 +8,6 @@ the engine under test.
 import itertools
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -196,10 +195,10 @@ def test_criterion_6_quantization_scaling(fig3_arch):
         assert a2.array.a_op / a8.array.a_op == 4.0
         for overhead in (0.5, 1.0, 3.0):
             o8, _ = apply_quantization(
-                fig3_arch, wl, replace(bs8, bit_serial_fixed_overhead=overhead)
+                fig3_arch, wl, bs8._replace(bit_serial_fixed_overhead=overhead)
             )
             o2, _ = apply_quantization(
-                fig3_arch, wl, replace(bs2, bit_serial_fixed_overhead=overhead)
+                fig3_arch, wl, bs2._replace(bit_serial_fixed_overhead=overhead)
             )
             assert o8.array.energy_per_op / o2.array.energy_per_op < 4.0
 

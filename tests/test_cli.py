@@ -473,6 +473,25 @@ class TestCompare:
         assert 'data-label="gemm-dense"' in svg
         assert 'data-label="gemm-2to4"' in svg
 
+    def test_each_file_is_parsed_once_per_call(self, monkeypatch):
+        import roofline_lab.report as report
+        from roofline_lab.report import ANALYSIS_FIELDS, analysis_row, rows_to_csv, run_scenario
+
+        paths = [scenario_arg("gemm_dense.scenario"), scenario_arg("gemm_2to4.scenario")]
+        expected = rows_to_csv(ANALYSIS_FIELDS, [
+            analysis_row(run_scenario(load_scenario(parse_scenario(p)))) for p in paths])
+        parsed = []
+        for name in ("parse_arch", "parse_workload", "parse_mapping"):
+            def counting(path, parse=getattr(report, name)):
+                parsed.append(path)
+                return parse(path)
+            monkeypatch.setattr(report, name, counting)
+        for _ in range(2):  # and nothing is kept from one call to the next
+            parsed.clear()
+            assert run("compare", "--scenario", paths[0], "--scenario", paths[1]) == (
+                0, expected)
+            assert sorted(p.name for p in parsed) == ["fig3.arch", "gemm.wl", "os_map.map"]
+
 
 class TestSharedParser:
     """``main`` reuses the parser built at import; no call leaks into
@@ -533,7 +552,18 @@ class TestSharedParser:
         assert [run(*argv) for argv in calls] == before
 
 
-def test_cli_import_does_not_load_numpy():
+def _loaded_by_cli_import(modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after
+    importing roofline_lab.cli."""
     env = dict(os.environ, PYTHONPATH=str(Path(roofline_lab.__file__).parents[1]))
-    code = "import sys, roofline_lab.cli; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    code = f"import sys, roofline_lab.cli; print(*[m for m in {modules!r} if m in sys.modules])"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_cli_import_does_not_load_numpy():
+    assert _loaded_by_cli_import(("numpy",)) == []
+
+
+def test_cli_import_does_not_load_dataclasses_or_inspect():
+    assert _loaded_by_cli_import(("dataclasses", "inspect")) == []

@@ -65,10 +65,7 @@ class TestRoundTrip:
         assert parse_mapping(out) == mapping
 
     def test_imc_mapping_round_trip_keeps_reload_fields(self, tmp_path):
-        from dataclasses import replace
-
-        mapping = replace(
-            parse_mapping(fixture_path("imc256.map")),
+        mapping = parse_mapping(fixture_path("imc256.map"))._replace(
             pinned_operand="W",
             reload_cycles_per_tile=256,
         )

@@ -1,21 +1,48 @@
-"""Structural validation: factorization closure, capacity, footprints."""
+"""Structural validation: factorization closure, capacity, footprints;
+the records' value semantics."""
+
+import copy
+from collections.abc import Mapping
 
 import pytest
 
 from roofline_lab import (
+    AccessProfile,
     ArchSpec,
     ComputeArray,
+    CycleSimResult,
+    EnergyRoofline,
+    EnumerationTrace,
+    ImcArchBundle,
+    ImcMacro,
+    ImcMappingTradeoff,
     InvalidMappingError,
     LoopDim,
     MappingSpec,
     MemoryLevel,
     OperandSpec,
+    QuantConfig,
+    RooflineCurve,
+    SparsityConfig,
+    SparsityModel,
+    SpatialUnroll,
+    ThroughputRoofline,
     WorkloadSpec,
     analyze_mapping,
+    count_accesses,
+    energy_roofline,
     enumerate_accesses,
+    imc_macro_as_arch,
+    imc_mapping_tradeoff,
+    simulate_cycles,
+    throughput_roofline,
     validate,
 )
+from roofline_lab.config_io import Scenario, fixture_path, parse_scenario
 from roofline_lab.model import tile_elements, tile_extents
+from roofline_lab.oracle import TraceRecord
+from roofline_lab.report import LoadedScenario, load_scenario
+from roofline_lab.transforms import ImcDynamicRange
 
 from conftest import gemm, make_arch, plain_mapping, unroll
 
@@ -193,3 +220,88 @@ def test_invalid_mapping_messages_are_exact(case, expected):
         with pytest.raises(InvalidMappingError) as err:
             analysis(arch, wl, mapping)
         assert err.value.violations == expected
+
+
+def test_relevant_is_built_once_and_is_not_a_field():
+    op = OperandSpec("O", "output", ("B", "K"))
+    assert op.relevant == frozenset(("B", "K")) and op.relevant is op.relevant
+    other = OperandSpec("O", "output", ("K", "B"))
+    assert other.relevant == op.relevant and other != op
+    assert "relevant" not in op._fields and "relevant=" not in repr(op)
+    assert op._replace(relevant_dims=("B",)).relevant == frozenset(("B",))
+
+
+def test_replace_derives_the_operand_defaults_again():
+    op = OperandSpec("O", "output", ("B", "K"), precision_bits=8)
+    assert (op.accum_bits, op.bytes_per_element) == (32, 1.0)
+    narrow = op._replace(precision_bits=2, accum_bits=None, bytes_per_element=None)
+    assert (narrow.accum_bits, narrow.bytes_per_element) == (8, 1.0)
+    assert op._replace(precision_bits=2).accum_bits == 32  # kept unless reset
+
+
+def _tiny():
+    arch = make_arch([(8.0, 0.1), (2.0, 1.0)], dims=(("row", 2), ("col", 1)))
+    mapping = plain_mapping([[("K", 2)], [("B", 2), ("C", 2)]],
+                            spatial=[unroll("row", "K", 2)])
+    return arch, gemm(2, 2, 4), mapping
+
+
+def _scenario():
+    return parse_scenario(fixture_path("gemm_dense.scenario"))
+
+
+RATIOS = {1: 0.25, 2: 1.0}
+
+# (record class, a builder of one record, a field, a new value for it);
+# every record the package defines, hot (``Record``) and cold (NamedTuple)
+RECORDS = [
+    (MemoryLevel, lambda: MemoryLevel("L1", 64.0, 0.1, capacity=1024), "bandwidth", 32.0),
+    (ComputeArray, lambda: ComputeArray((("row", 4), ("col", 4)), 0.5), "energy_per_op", 0.25),
+    (ArchSpec, lambda: _tiny()[0], "clock", 2e9),
+    (LoopDim, lambda: LoopDim("B", 4), "size", 8),
+    (OperandSpec, lambda: OperandSpec("O", "output", ("B", "K")), "precision_bits", 4),
+    (WorkloadSpec, lambda: _tiny()[1], "name", "other"),
+    (SpatialUnroll, lambda: unroll("row", "C", 4), "factor", 2),
+    (MappingSpec, lambda: _tiny()[2]._replace(cores=2, core_split=("B", 2)), "cores", 4),
+    (AccessProfile, lambda: count_accesses(*_tiny()), "n_op", 128),
+    (RooflineCurve, lambda: RooflineCurve("throughput", ((1.0, "L1"),), 4.0),
+     "asymptote", 8.0),
+    (ThroughputRoofline, lambda: throughput_roofline(_tiny()[0], RATIOS), "asymptote", 1.0),
+    (EnergyRoofline, lambda: energy_roofline(_tiny()[0], RATIOS), "e_op", 1.0),
+    (Scenario, _scenario, "label", "other"),
+    (LoadedScenario, lambda: load_scenario(_scenario()), "ref_level", 3),
+    (TraceRecord, lambda: TraceRecord(0, 1, "W", 2.0), "cycle", 3),
+    (EnumerationTrace, lambda: enumerate_accesses(*_tiny()), "events", {}),
+    (CycleSimResult, lambda: simulate_cycles(*_tiny()), "n_tiles", 99),
+    (QuantConfig, lambda: QuantConfig(precision_bits={"W": 4}), "block_size", 8),
+    (SparsityConfig, lambda: SparsityConfig(), "mode", "unstructured"),
+    (SparsityModel, lambda: SparsityModel(1.0, {"W": 0.5}, 1.0), "bandwidth_penalty", 0.5),
+    (ImcMacro, lambda: ImcMacro(rows=64, cols=8), "rows", 32),
+    (ImcDynamicRange, lambda: ImcDynamicRange(3, 2), "levels", 5),
+    (ImcArchBundle, lambda: imc_macro_as_arch(ImcMacro(rows=64, cols=8)),
+     "words_in_per_cycle", 1),
+    (ImcMappingTradeoff, lambda: imc_mapping_tradeoff([(10, 2.0), (20, 1.0)]),
+     "storage_optimal_compute_utilization", 0.5),
+]
+
+
+@pytest.mark.parametrize("cls, make, field, value", RECORDS,
+                         ids=[case[0].__name__ for case in RECORDS])
+def test_records_are_immutable_values(cls, make, field, value):
+    a, b = make(), make()
+    assert type(a) is cls and a == b and a is not b
+    changed = a._replace(**{field: value})
+    assert type(changed) is cls and getattr(changed, field) == value and changed != a
+    assert all(getattr(changed, f) == getattr(a, f) for f in a._fields if f != field)
+    assert a == b  # _replace left the original as it was
+    assert copy.copy(a) == a
+    shown = ", ".join(f"{f}={getattr(a, f)!r}" for f in a._fields)
+    assert repr(a) == f"{cls.__name__}({shown})"
+    if any(isinstance(getattr(a, f), Mapping) for f in a._fields):
+        with pytest.raises(TypeError):  # a dict field makes the record unhashable
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, value)
+    assert getattr(a, field) != value

@@ -4,7 +4,6 @@ generated nests held equal to the closed forms."""
 
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -285,9 +284,9 @@ def nests(draw, max_moving=6):
                      dims=(("row", rows), ("col", cols)))
     slack = draw(st.lists(st.sampled_from((None, 0, 1)), min_size=n_levels,
                           max_size=n_levels))
-    arch = replace(arch, levels=tuple(
+    arch = arch._replace(levels=tuple(
         lvl if extra is None
-        else replace(lvl, capacity=footprint_bytes(wl, mapping, lvl.level_index) + extra)
+        else lvl._replace(capacity=footprint_bytes(wl, mapping, lvl.level_index) + extra)
         for lvl, extra in zip(arch.levels, slack)))
     return arch, wl, mapping, temporal
 
@@ -336,11 +335,11 @@ class TestGeneratedNests:
             # a capacity at the counted footprint fits, one byte less does not
             total = sum(counted[op.name] * math.ceil(op.precision_bits / 8)
                         for op in wl.operands)
-            levels = [replace(lvl, capacity=None) for lvl in arch.levels]
+            levels = [lvl._replace(capacity=None) for lvl in arch.levels]
             for capacity, expected in (
                     (total, []),
                     (total - 1, [f"level L{li}: tile footprint {total} B exceeds "
                                  f"capacity {total - 1} B"])):
-                levels[li - 1] = replace(levels[li - 1], capacity=capacity)
-                bounded = replace(arch, levels=tuple(levels))
+                levels[li - 1] = levels[li - 1]._replace(capacity=capacity)
+                bounded = arch._replace(levels=tuple(levels))
                 assert validate(bounded, wl, mapping) == expected

@@ -4,7 +4,6 @@ arithmetic on the reference constants."""
 import bisect
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -126,10 +125,8 @@ class TestThroughputRoofline:
         assert all(v == 2048.0 for v in past)
 
     def test_knee_abscissa_independent_of_clock(self, fig3_arch):
-        from dataclasses import replace
-
         ratios = {1: 1 / 16, 2: 1.0, 3: 16.0}
-        fast = replace(fig3_arch, clock=fig3_arch.clock * 7)
+        fast = fig3_arch._replace(clock=fig3_arch.clock * 7)
         assert (throughput_roofline(fig3_arch, ratios).knees
                 == throughput_roofline(fast, ratios).knees)
 
@@ -390,7 +387,8 @@ def _swept(name, param, value, overlap=None):
 
 def _pinned_with_reloads(overlap=None):
     loaded = _scenario("gemm_dense")
-    loaded.mapping = replace(loaded.mapping, pinned_operand="W", reload_cycles_per_tile=3)
+    loaded = loaded._replace(
+        mapping=loaded.mapping._replace(pinned_operand="W", reload_cycles_per_tile=3))
     return report.run_scenario(loaded, overlap)
 
 

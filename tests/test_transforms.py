@@ -1,7 +1,5 @@
 """Quantization, sparsity, in-memory-compute and Amdahl transforms."""
 
-from dataclasses import replace
-
 import pytest
 
 from roofline_lab import (
@@ -178,9 +176,9 @@ class TestImc:
     def test_levels_monotone_in_each_parameter(self):
         base = ImcMacro(rows=64, cols=1, input_bits=2, weight_bits=3)
         levels = imc_dynamic_range(base).levels
-        assert imc_dynamic_range(replace(base, rows=65)).levels > levels
-        assert imc_dynamic_range(replace(base, input_bits=3)).levels > levels
-        assert imc_dynamic_range(replace(base, weight_bits=4)).levels > levels
+        assert imc_dynamic_range(base._replace(rows=65)).levels > levels
+        assert imc_dynamic_range(base._replace(input_bits=3)).levels > levels
+        assert imc_dynamic_range(base._replace(weight_bits=4)).levels > levels
 
     def test_macro_bundle_reload_cost_and_adc_energy(self):
         m = ImcMacro(rows=256, cols=256, energy_per_op=0.01, adc_overhead=0.25)
