@@ -13,7 +13,7 @@ Run from the repo root:  python3 demos/02_reuse_and_stationarity.py
 from roofline_lab import (
     MappingSpec,
     SpatialUnroll,
-    arithmetic_intensity,
+    analyze_mapping,
     count_accesses,
     derive_stationarity,
     enumerate_accesses,
@@ -49,7 +49,7 @@ for label, mapping in mappings.items():
             check = "ok" if trace.bytes[(li, op.name)] == t.bytes else "MISMATCH"
             print(f" L{li}  {op.name}  {t.events:6d}  {t.elements_per_event:11d}"
                   f"  {t.bytes:6.0f}  ({trace.bytes[(li, op.name)]:.0f} {check})")
-    ai = arithmetic_intensity(profile, wl)
+    ai = analyze_mapping(arch, wl, mapping).ai
     print("AI per level:", {f"L{li}": round(v, 3) for li, v in ai.items()})
 
 print("""

@@ -22,14 +22,13 @@ for rows, bx, bw in ((1, 1, 1), (256, 1, 1), (256, 4, 4), (1024, 4, 4)):
 print("every extra resolved bit costs readout energy and area")
 
 print("\n=== a 256x256 macro as a mapped architecture ===")
-bundle = imc_macro_as_arch(ImcMacro(rows=256, cols=256, energy_per_op=0.01,
-                                    adc_overhead=0.25))
+macro = ImcMacro(rows=256, cols=256, energy_per_op=0.01, adc_overhead=0.25)
+bundle = imc_macro_as_arch(macro)
 print(f"peak {bundle.array.a_op:g} ops/cycle, "
       f"{bundle.array.energy_per_op:g} pJ/op with readout overhead")
 print(f"weights pinned in the array ({bundle.pinned_operand}), "
       f"reload {bundle.reload_cycles_per_tile} cycles per tile")
-print(f"streams {bundle.words_in_per_cycle} input words and "
-      f"{bundle.words_out_per_cycle} output words per cycle")
+print(f"streams {macro.rows} input words and {macro.cols} output words per cycle")
 
 res = run_scenario(load_scenario(parse_scenario(fixture_path("imc256.scenario"))))
 u = res.utilization

@@ -15,7 +15,6 @@ from .mapping import (
     LatencyResult,
     OperandTraffic,
     Utilization,
-    arithmetic_intensity,
     count_accesses,
     derive_stationarity,
     task_latency,

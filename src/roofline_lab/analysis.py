@@ -37,6 +37,7 @@ from .model import (
     MappingSpec,
     WorkloadSpec,
     arch_violations,
+    workload_violations,
 )
 from .roofline import (
     DEFAULT_REF_LEVEL,
@@ -108,13 +109,13 @@ def intensity_traffic(
     arch: ArchSpec, wl: WorkloadSpec, ai_per_level: dict[int, float]
 ) -> Traffic:
     """The traffic stage without a mapping: a profile synthesized from
-    per-level AI, for a valid architecture."""
+    per-level AI, for a valid architecture and workload."""
     levels, given = set(range(1, arch.n_levels + 1)), set(ai_per_level)
     if given != levels:
         raise ValueError(
             f"ai_profile levels must be exactly 1..{arch.n_levels}: "
             f"missing {sorted(levels - given)}, extra {sorted(given - levels)}")
-    violations = arch_violations(arch)
+    violations = arch_violations(arch) + workload_violations(wl)
     if violations:
         raise InvalidMappingError(violations)
     profile = AccessProfile.from_intensities(wl.n_op, ai_per_level)

@@ -6,6 +6,16 @@ One format for everything: JSON, fixed field names, fixed units
 Unknown keys are errors, missing required keys are errors, and scalar
 sanity (positive bandwidth, nonzero sizes) is checked at parse time so
 a bad file is reported with the offending field, not three calls later.
+
+Every record a file holds is described once, by a ``Table`` of fields
+``(json key, attribute, kind, default, bound)``.  ``_read`` builds a
+record from its table and ``_to_dict`` writes one back through it.  A
+kind is the function that reads one JSON value; ``bound`` is what that
+kind checks beyond the type (each kind says what its bound means).  A
+field whose default is ``REQUIRED`` must be present; one whose default
+is ``None`` may also be ``null``.  Names that refer to another file's
+names (a dim, an axis, an operand) are resolved by ``model.validate``
+and the transforms, once every file is read.
 """
 
 from __future__ import annotations
@@ -13,9 +23,14 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, NamedTuple
 
 from .model import (
+    INPUT,
+    OUTPUT,
+    OVERLAPPED,
+    SERIALIZED,
     ArchSpec,
     ComputeArray,
     LoopDim,
@@ -24,10 +39,16 @@ from .model import (
     OperandSpec,
     SpatialUnroll,
     WorkloadSpec,
-    OVERLAPPED,
-    SERIALIZED,
 )
-from .transforms import ImcMacro, QuantConfig, SparsityConfig
+from .transforms import (
+    DEFAULT_ADC_OVERHEAD,
+    DEFAULT_INDEX_BITS,
+    DENSE,
+    LINEAR,
+    ImcMacro,
+    QuantConfig,
+    SparsityConfig,
+)
 
 
 class ParseError(ValueError):
@@ -38,58 +59,6 @@ class ParseError(ValueError):
         self.path = str(path)
         self.where = where
         super().__init__(f"{path}: {where}: {message}")
-
-
-class _Obj:
-    """A JSON object being consumed field by field."""
-
-    def __init__(self, path: str | Path, where: str, data: Any):
-        if not isinstance(data, dict):
-            raise ParseError(path, where, f"expected an object, got {type(data).__name__}")
-        self.path = path
-        self.where = where
-        self.data = dict(data)
-
-    def take(self, key: str, required: bool = True, default: Any = None) -> Any:
-        if key in self.data:
-            return self.data.pop(key)
-        if required:
-            raise ParseError(self.path, self.where, f"missing required field {key!r}")
-        return default
-
-    def number(self, key: str, required: bool = True, default: Any = None,
-               minimum: float | None = None, strict: bool = False,
-               integer: bool = False) -> Any:
-        val = self.take(key, required, default)
-        if val is None and not required:
-            return default
-        return _number(self.path, f"{self.where}.{key}", val, minimum, strict, integer)
-
-    def finish(self) -> None:
-        if self.data:
-            raise ParseError(
-                self.path, self.where, f"unknown keys: {sorted(self.data)}"
-            )
-
-
-def _number(path: str | Path, where: str, val: Any, minimum: float | None = None,
-            strict: bool = False, integer: bool = False) -> Any:
-    """``val`` if it is a JSON number (an integer if ``integer``; never a
-    boolean) at or above ``minimum``, or above it if ``strict``."""
-    kinds = int if integer else (int, float)
-    if not isinstance(val, kinds) or isinstance(val, bool):
-        raise ParseError(path, where, "expected an integer" if integer else "expected a number")
-    if minimum is not None and (val <= minimum if strict else val < minimum):
-        op = ">" if strict else ">="
-        raise ParseError(path, where, f"must be {op} {minimum} (got {val})")
-    return val
-
-
-def _named_count(path: str | Path, where: str, pair: Any, shape: str) -> tuple[str, int]:
-    """A ``[name, count]`` pair whose count is an integer >= 1."""
-    if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
-        raise ParseError(path, where, f"expected {shape}")
-    return pair[0], _number(path, f"{where}[1]", pair[1], minimum=1, integer=True)
 
 
 def _load_json(path: str | Path) -> Any:
@@ -111,216 +80,301 @@ def _load_json(path: str | Path) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# architecture
+# tables
 
 
-def parse_arch(path: str | Path) -> ArchSpec:
-    root = _Obj(path, "arch", _load_json(path))
-    arr = _Obj(path, "arch.array", root.take("array"))
-    dims_raw = arr.take("dims")
-    if not isinstance(dims_raw, list) or not dims_raw:
-        raise ParseError(path, "arch.array.dims", "expected a non-empty list")
-    dims = tuple(_named_count(path, f"arch.array.dims[{i}]", pair, "[label, size]")
-                 for i, pair in enumerate(dims_raw))
-    array = ComputeArray(
-        dims=dims,
-        energy_per_op=arr.number("energy_per_op", minimum=0.0),
-        ops_per_mac=arr.number("ops_per_mac", required=False, default=2, minimum=1,
-                               integer=True),
-        throughput_scale=arr.number("throughput_scale", required=False, default=1.0,
-                                    minimum=0.0, strict=True),
-    )
-    arr.finish()
+REQUIRED = object()  # the default of a field that must be present
+NON_EMPTY = "a non-empty list"
 
-    levels_raw = root.take("levels")
-    if not isinstance(levels_raw, list) or not levels_raw:
-        raise ParseError(path, "arch.levels", "expected a non-empty list")
+
+class Field(NamedTuple):
+    key: str  # in the JSON object
+    attr: str  # on the record
+    kind: Any  # reads the JSON value: kind(path, where, value, bound)
+    default: Any
+    bound: Any
+
+
+class Table(NamedTuple):
+    """A record's fields in its constructor's order."""
+
+    cls: type
+    fields: tuple[Field, ...]
+    keys: frozenset[str]  # the keys an object of this record may hold
+    many: str  # what a list of these records must be
+
+
+def _table(cls: type, rows: list[tuple], many: str = NON_EMPTY) -> Table:
+    """A table from rows of (key, kind, default, bound[, attr]); the
+    attribute is the key unless named."""
+    fields = tuple(Field(row[0], row[4] if len(row) > 4 else row[0], *row[1:4])
+                   for row in rows)
+    return Table(cls, fields, frozenset(f.key for f in fields), many)
+
+
+def _object(path: str | Path, where: str, val: Any) -> dict:
+    if type(val) is not dict:
+        raise ParseError(path, where, f"expected an object, got {type(val).__name__}")
+    return val
+
+
+def _read(path: str | Path, where: str, data: Any, table: Table) -> Any:
+    """The record ``table`` describes, built from the JSON object ``data``."""
+    _object(path, where, data)
+    values = []
+    for key, _, kind, default, bound in table.fields:
+        val = data.get(key, default)
+        # the default object itself (the key absent, or a null where the
+        # default is None) needs no reading
+        if val is not default:
+            val = kind(path, f"{where}.{key}", val, bound)
+        elif val is REQUIRED:
+            raise ParseError(path, where, f"missing required field {key!r}")
+        values.append(val)
+    if not table.keys.issuperset(data):
+        raise ParseError(path, where, f"unknown keys: {sorted(data.keys() - table.keys)}")
+    return table.cls(*values)
+
+
+def _to_dict(record: Any, table: Table) -> dict:
+    """The JSON object of ``record``, field by field through ``table``."""
+    return {f.key: _dump(getattr(record, f.attr), f.kind, f.bound) for f in table.fields}
+
+
+def _dump(val: Any, kind: Any, bound: Any) -> Any:
+    """One field's JSON value; every tuple becomes a list, as JSON reads
+    it back."""
+    if kind is _read:
+        return _to_dict(val, bound)
+    if kind is _records:
+        return [_to_dict(v, bound) for v in val]
+    if kind is _loop_dims:
+        return [[d.name, d.size] for d in val]
+    return [_dump(v, None, None) for v in val] if type(val) is tuple else val
+
+
+# ---------------------------------------------------------------------------
+# kinds
+
+
+def _string(path, where, val, bound):
+    """A string.  ``bound`` is the allowed values (a tuple), or what the
+    string names (a str), or None."""
+    if type(bound) is tuple:
+        if val not in bound:
+            raise ParseError(path, where,
+                             "must be " + " or ".join(repr(b) for b in bound))
+    elif type(val) is not str:
+        raise ParseError(path, where, "expected a string")
+    return val
+
+
+def _strings(path, where, val, bound):
+    """A list of strings naming ``bound``s."""
+    if type(val) is not list or not all(type(s) is str for s in val):
+        raise ParseError(path, where, f"expected a list of {bound} names")
+    return tuple(val)
+
+
+def _number(path, where, val, bound):
+    """A finite number (never a boolean); ``bound`` is (">" or ">=",
+    minimum) or None."""
+    if type(val) is not int and (type(val) is not float or not math.isfinite(val)):
+        raise ParseError(path, where, "expected a finite number"
+                         if type(val) is float else "expected a number")
+    if bound is not None:
+        op, minimum = bound
+        if val <= minimum if op == ">" else val < minimum:
+            raise ParseError(path, where, f"must be {op} {minimum} (got {val})")
+    return val
+
+
+def _integer(path, where, val, bound):
+    """An integer (never a boolean), bounded as by ``_number``."""
+    if type(val) is not int:
+        raise ParseError(path, where, "expected an integer")
+    return _number(path, where, val, bound)
+
+
+def _boolean(path, where, val, bound):
+    if type(val) is not bool:
+        raise ParseError(path, where, "expected true or false")
+    return val
+
+
+def _pair(path, where, val, shape):
+    """A ``[name, count]`` pair whose count is an integer >= 1; ``shape``
+    names its parts."""
+    if type(val) is not list or len(val) != 2 or type(val[0]) is not str:
+        raise ParseError(path, where, f"expected {shape}")
+    name, count = val
+    if type(count) is not int or count < 1:
+        _integer(path, f"{where}[1]", count, (">=", 1))  # raises, naming the count
+    return name, count
+
+
+def _pairs(path, where, val, shape):
+    """A non-empty list of ``_pair``s."""
+    if type(val) is not list or not val:
+        raise ParseError(path, where, f"expected {NON_EMPTY}")
+    return tuple([_pair(path, f"{where}[{i}]", p, shape) for i, p in enumerate(val)])
+
+
+def _loop_dims(path, where, val, shape):
+    """``_pairs`` as the workload's ``LoopDim``s."""
+    return tuple([LoopDim(*p) for p in _pairs(path, where, val, shape)])
+
+
+def _temporal(path, where, val, shape):
+    """One list of ``_pair`` loops per level, innermost first."""
+    if type(val) is not list:
+        raise ParseError(path, where, "expected a list per level")
     levels = []
-    first_named: dict[str, int] = {}  # level name -> its first index
-    for i, lr in enumerate(levels_raw):
-        lo = _Obj(path, f"arch.levels[{i}]", lr)
-        name = str(lo.take("name"))
-        if name in first_named:
-            raise ParseError(path, f"arch.levels[{i}].name",
-                             f"duplicate level name {name!r} "
-                             f"(also arch.levels[{first_named[name]}])")
-        first_named[name] = i
-        levels.append(MemoryLevel(
-            name=name,
-            bandwidth=lo.number("bandwidth", minimum=0.0, strict=True),
-            energy_per_byte=lo.number("energy_per_byte", minimum=0.0),
-            capacity=lo.number("capacity", required=False, minimum=0, strict=True,
-                               integer=True),
-            level_index=lo.number("level_index", required=False, default=i + 1,
-                                  minimum=1, integer=True),
-        ))
-        lo.finish()
-
-    overlap = root.take("latency_overlap", required=False, default=OVERLAPPED)
-    if overlap not in (OVERLAPPED, SERIALIZED):
-        raise ParseError(path, "arch.latency_overlap",
-                         f"must be {OVERLAPPED!r} or {SERIALIZED!r}")
-    arch = ArchSpec(
-        array=array,
-        levels=tuple(levels),
-        clock=root.number("clock", minimum=0.0, strict=True),
-        latency_overlap=overlap,
-        base_precision_bits=root.number("base_precision_bits", required=False,
-                                        default=8, minimum=1, integer=True),
-    )
-    root.finish()
-    return arch
+    for li, loops in enumerate(val):
+        if type(loops) is not list:
+            raise ParseError(path, f"{where}[{li}]", "expected a loop list")
+        levels.append(tuple([_pair(path, f"{where}[{li}][{j}]", p, shape)
+                             for j, p in enumerate(loops)]))
+    return tuple(levels)
 
 
-def arch_to_dict(arch: ArchSpec) -> dict:
-    return {
-        "array": {
-            "dims": [[a, s] for a, s in arch.array.dims],
-            "energy_per_op": arch.array.energy_per_op,
-            "ops_per_mac": arch.array.ops_per_mac,
-            "throughput_scale": arch.array.throughput_scale,
-        },
-        "levels": [
-            {
-                "name": l.name,
-                "bandwidth": l.bandwidth,
-                "energy_per_byte": l.energy_per_byte,
-                "capacity": l.capacity,
-                "level_index": l.level_index,
-            }
-            for l in arch.levels
-        ],
-        "clock": arch.clock,
-        "latency_overlap": arch.latency_overlap,
-        "base_precision_bits": arch.base_precision_bits,
-    }
+def _records(path, where, val, table):
+    """A list of ``table``'s records, as ``table.many`` says."""
+    if type(val) is not list or (not val and table.many == NON_EMPTY):
+        raise ParseError(path, where, f"expected {table.many}")
+    return tuple([_read(path, f"{where}[{i}]", item, table) for i, item in enumerate(val)])
 
 
-# ---------------------------------------------------------------------------
-# workload
+def _map(path, where, val, bound):
+    """An object of operand name -> value; ``bound`` is (the values'
+    kind, their bound)."""
+    kind, value_bound = bound
+    return {k: kind(path, f"{where}.{k}", v, value_bound)
+            for k, v in _object(path, where, val).items()}
 
 
-def parse_workload(path: str | Path) -> WorkloadSpec:
-    root = _Obj(path, "workload", _load_json(path))
-    name = str(root.take("name"))
-    dims_raw = root.take("dims")
-    if not isinstance(dims_raw, list) or not dims_raw:
-        raise ParseError(path, "workload.dims", "expected a non-empty list")
-    dims = [LoopDim(*_named_count(path, f"workload.dims[{i}]", pair, "[name, size]"))
-            for i, pair in enumerate(dims_raw)]
-
-    ops_raw = root.take("operands")
-    if not isinstance(ops_raw, list) or not ops_raw:
-        raise ParseError(path, "workload.operands", "expected a non-empty list")
-    operands = []
-    for i, orx in enumerate(ops_raw):
-        oo = _Obj(path, f"workload.operands[{i}]", orx)
-        role = oo.take("role")
-        if role not in ("input", "output"):
-            raise ParseError(path, f"workload.operands[{i}].role",
-                             "must be 'input' or 'output'")
-        rel = oo.take("relevant_dims")
-        if not isinstance(rel, list) or not all(isinstance(r, str) for r in rel):
-            raise ParseError(path, f"workload.operands[{i}].relevant_dims",
-                             "expected a list of dim names")
-        operands.append(OperandSpec(
-            name=str(oo.take("name")),
-            role=role,
-            relevant_dims=tuple(rel),
-            precision_bits=oo.number("precision_bits", required=False, default=8,
-                                     minimum=1, integer=True),
-            accum_bits=oo.number("accum_bits", required=False, minimum=1, integer=True),
-            bytes_per_element=oo.number("bytes_per_element", required=False,
-                                        minimum=0.0, strict=True),
-        ))
-        oo.finish()
-    wl = WorkloadSpec(name=name, dims=tuple(dims), operands=tuple(operands))
-    root.finish()
-    return wl
+def _path(path, where, val, bound):
+    """A file reference, relative to the directory of the file naming it
+    (``path``, a ``Path``)."""
+    if type(val) is not str:
+        raise ParseError(path, where, "expected a file path string")
+    # joined, not resolved: opening the file resolves ".." and
+    # symlinks, so a realpath here would only add an lstat per component
+    return (path.parent / val).absolute()
 
 
-def workload_to_dict(wl: WorkloadSpec) -> dict:
-    return {
-        "name": wl.name,
-        "dims": [[d.name, d.size] for d in wl.dims],
-        "operands": [
-            {
-                "name": o.name,
-                "role": o.role,
-                "relevant_dims": list(o.relevant_dims),
-                "precision_bits": o.precision_bits,
-                "accum_bits": o.accum_bits,
-                "bytes_per_element": o.bytes_per_element,
-            }
-            for o in wl.operands
-        ],
-    }
+def _ai_profile(path, where, val, bound):
+    """Level index -> arithmetic intensity, a positive number."""
+    if type(val) is not dict:
+        raise ParseError(path, where, "expected an object of level index -> AI")
+    profile = {}
+    for k, v in val.items():
+        try:
+            level = int(k)
+        except ValueError as exc:
+            raise ParseError(path, where, str(exc)) from exc
+        profile[level] = float(_number(path, f"{where}.{k}", v, (">", 0)))
+    return profile
+
+
+def _transforms(path, where, val, bound):
+    """The transform chain: each object's ``kind`` picks its table."""
+    if type(val) is not list:
+        raise ParseError(path, where, "expected a list")
+    chain = []
+    for i, raw in enumerate(val):
+        at = f"{where}[{i}]"
+        kind = _object(path, at, raw).get("kind", REQUIRED)
+        if kind is REQUIRED:
+            raise ParseError(path, at, "missing required field 'kind'")
+        if type(kind) is not str or kind not in TRANSFORMS:
+            raise ParseError(path, f"{at}.kind", f"unknown transform kind {kind!r}")
+        fields = {k: v for k, v in raw.items() if k != "kind"}
+        chain.append(_read(path, at, fields, TRANSFORMS[kind]))
+    return tuple(chain)
 
 
 # ---------------------------------------------------------------------------
-# mapping
+# the records of each file
 
 
-def parse_mapping(path: str | Path) -> MappingSpec:
-    root = _Obj(path, "mapping", _load_json(path))
-    spatial_raw = root.take("spatial", required=False, default=[])
-    if not isinstance(spatial_raw, list):
-        raise ParseError(path, "mapping.spatial", "expected a list of unrolls")
-    spatial = []
-    for i, sr in enumerate(spatial_raw):
-        so = _Obj(path, f"mapping.spatial[{i}]", sr)
-        spatial.append(SpatialUnroll(
-            axis=str(so.take("axis")),
-            dim=str(so.take("dim")),
-            factor=so.number("factor", minimum=1, integer=True),
-        ))
-        so.finish()
+ARRAY = _table(ComputeArray, [
+    ("dims", _pairs, REQUIRED, "[label, size]"),
+    ("energy_per_op", _number, REQUIRED, (">=", 0.0)),
+    ("ops_per_mac", _integer, 2, (">=", 1)),
+    ("throughput_scale", _number, 1.0, (">", 0.0)),
+])
+LEVEL = _table(MemoryLevel, [
+    ("name", _string, REQUIRED, None),
+    ("bandwidth", _number, REQUIRED, (">", 0.0)),
+    ("energy_per_byte", _number, REQUIRED, (">=", 0.0)),
+    ("capacity", _integer, None, (">", 0)),
+    ("level_index", _integer, None, (">=", 1)),  # None: its position, set by parse_arch
+])
+ARCH = _table(ArchSpec, [
+    ("array", _read, REQUIRED, ARRAY),
+    ("levels", _records, REQUIRED, LEVEL),
+    ("clock", _number, REQUIRED, (">", 0.0)),
+    ("latency_overlap", _string, OVERLAPPED, (OVERLAPPED, SERIALIZED)),
+    ("base_precision_bits", _integer, 8, (">=", 1)),
+])
 
-    temp_raw = root.take("temporal", required=False, default=[])
-    if not isinstance(temp_raw, list):
-        raise ParseError(path, "mapping.temporal", "expected a list per level")
-    temporal = []
-    for li, level_loops in enumerate(temp_raw):
-        if not isinstance(level_loops, list):
-            raise ParseError(path, f"mapping.temporal[{li}]", "expected a loop list")
-        temporal.append(tuple(
-            _named_count(path, f"mapping.temporal[{li}][{j}]", pair, "[dim, trip]")
-            for j, pair in enumerate(level_loops)))
+OPERAND = _table(OperandSpec, [
+    ("name", _string, REQUIRED, None),
+    ("role", _string, REQUIRED, (INPUT, OUTPUT)),
+    ("relevant_dims", _strings, REQUIRED, "dim"),
+    ("precision_bits", _integer, 8, (">=", 1)),
+    ("accum_bits", _integer, None, (">=", 1)),
+    ("bytes_per_element", _number, None, (">", 0.0)),
+])
+WORKLOAD = _table(WorkloadSpec, [
+    ("name", _string, REQUIRED, None),
+    ("dims", _loop_dims, REQUIRED, "[name, size]"),
+    ("operands", _records, REQUIRED, OPERAND),
+])
 
-    core_split = root.take("core_split", required=False)
-    if core_split is not None:
-        core_split = _named_count(path, "mapping.core_split", core_split, "[dim, factor]")
-    pinned = root.take("pinned_operand", required=False)
+SPATIAL = _table(SpatialUnroll, [
+    ("axis", _string, REQUIRED, "axis"),
+    ("dim", _string, REQUIRED, "dim"),
+    ("factor", _integer, REQUIRED, (">=", 1)),
+], many="a list of unrolls")
+MAPPING = _table(MappingSpec, [
+    ("spatial", _records, (), SPATIAL),
+    ("temporal", _temporal, (), "[dim, trip]"),
+    ("cores", _integer, 1, (">=", 1)),
+    ("core_split", _pair, None, "[dim, factor]"),
+    ("pinned_operand", _string, None, "operand"),
+    ("reload_cycles_per_tile", _integer, None, (">=", 0)),
+])
 
-    mapping = MappingSpec(
-        spatial=tuple(spatial),
-        temporal=tuple(temporal),
-        cores=root.number("cores", required=False, default=1, minimum=1, integer=True),
-        core_split=core_split,
-        pinned_operand=pinned,
-        reload_cycles_per_tile=root.number("reload_cycles_per_tile", required=False,
-                                           minimum=0, integer=True),
-    )
-    root.finish()
-    return mapping
-
-
-def mapping_to_dict(mapping: MappingSpec) -> dict:
-    return {
-        "spatial": [
-            {"axis": u.axis, "dim": u.dim, "factor": u.factor}
-            for u in mapping.spatial
-        ],
-        "temporal": [[[d, t] for d, t in level] for level in mapping.temporal],
-        "cores": mapping.cores,
-        "core_split": list(mapping.core_split) if mapping.core_split else None,
-        "pinned_operand": mapping.pinned_operand,
-        "reload_cycles_per_tile": mapping.reload_cycles_per_tile,
-    }
-
-
-# ---------------------------------------------------------------------------
-# scenarios
+QUANTIZATION = _table(QuantConfig, [
+    ("precision_bits", _map, REQUIRED, (_integer, (">=", 1))),
+    ("block_size", _integer, 1, (">=", 1)),
+    ("block_metadata_bits", _integer, 0, (">=", 0)),
+    ("alpha", _number, 1.0, (">=", 1.0), "compute_scaling_exponent"),
+    ("mode", _string, LINEAR, None, "throughput_scaling_mode"),
+    ("weight_operand", _string, "W", "operand"),
+    ("fixed_overhead", _number, 0.0, (">=", 0.0), "bit_serial_fixed_overhead"),
+])
+SPARSITY = _table(SparsityConfig, [
+    ("mode", _string, DENSE, None),
+    ("density", _map, MappingProxyType({}), (_number, None)),
+    ("n", _integer, None, (">=", 1)),
+    ("m", _integer, None, (">=", 1)),
+    ("index_bits", _integer, DEFAULT_INDEX_BITS, (">=", 0)),
+    ("utilization_penalty", _number, 1.0, (">", 0.0)),
+])
+IMC = _table(ImcMacro, [
+    ("rows", _integer, REQUIRED, (">=", 1)),
+    ("cols", _integer, REQUIRED, (">=", 1)),
+    ("input_bits", _integer, 1, (">=", 1)),
+    ("weight_bits", _integer, 1, (">=", 1)),
+    ("energy_per_op", _number, 0.01, (">=", 0.0)),
+    ("adc_overhead", _number, DEFAULT_ADC_OVERHEAD, (">=", 0.0)),
+    ("weight_write_rows_per_cycle", _integer, 1, (">=", 1)),
+    ("reload_overlapped", _boolean, False, None),
+])
+TRANSFORMS = {"quantization": QUANTIZATION, "sparsity": SPARSITY, "imc": IMC}
 
 
 class Scenario(NamedTuple):
@@ -335,132 +389,63 @@ class Scenario(NamedTuple):
     transforms: tuple[object, ...]  # QuantConfig | SparsityConfig | ImcMacro
 
 
-def _parse_transform(path: str | Path, i: int, raw: Any) -> object:
-    to = _Obj(path, f"scenario.transforms[{i}]", raw)
-    kind = to.take("kind")
-    if kind == "quantization":
-        bits = _Obj(path, f"{to.where}.precision_bits", to.take("precision_bits"))
-        cfg = QuantConfig(
-            precision_bits={k: bits.number(k, minimum=1, integer=True)
-                            for k in list(bits.data)},
-            block_size=to.number("block_size", required=False, default=1, minimum=1,
-                                 integer=True),
-            block_metadata_bits=to.number("block_metadata_bits", required=False,
-                                          default=0, minimum=0, integer=True),
-            compute_scaling_exponent=to.number("alpha", required=False, default=1.0,
-                                               minimum=1.0),
-            throughput_scaling_mode=str(to.take("mode", required=False,
-                                                default="linear")),
-            weight_operand=str(to.take("weight_operand", required=False, default="W")),
-            bit_serial_fixed_overhead=to.number("fixed_overhead", required=False,
-                                                default=0.0, minimum=0.0),
-        )
-        to.finish()
-        return cfg
-    if kind == "sparsity":
-        dens = _Obj(path, f"{to.where}.density",
-                    to.take("density", required=False, default={}))
-        cfg = SparsityConfig(
-            mode=str(to.take("mode", required=False, default="dense")),
-            density={k: float(dens.number(k)) for k in list(dens.data)},
-            n=to.number("n", required=False, minimum=1, integer=True),
-            m=to.number("m", required=False, minimum=1, integer=True),
-            index_bits=to.number("index_bits", required=False, default=32,
-                                 minimum=0, integer=True),
-            utilization_penalty=to.number("utilization_penalty", required=False,
-                                          default=1.0, minimum=0.0, strict=True),
-        )
-        to.finish()
-        return cfg
-    if kind == "imc":
-        macro = ImcMacro(
-            rows=to.number("rows", minimum=1, integer=True),
-            cols=to.number("cols", minimum=1, integer=True),
-            input_bits=to.number("input_bits", required=False, default=1, minimum=1,
-                                 integer=True),
-            weight_bits=to.number("weight_bits", required=False, default=1,
-                                  minimum=1, integer=True),
-            energy_per_op=to.number("energy_per_op", required=False, default=0.01,
-                                    minimum=0.0),
-            adc_overhead=to.number("adc_overhead", required=False, default=0.25,
-                                   minimum=0.0),
-            weight_write_rows_per_cycle=to.number("weight_write_rows_per_cycle",
-                                                  required=False, default=1,
-                                                  minimum=1, integer=True),
-            reload_overlapped=to.take("reload_overlapped", required=False, default=False),
-        )
-        if not isinstance(macro.reload_overlapped, bool):
-            raise ParseError(path, f"{to.where}.reload_overlapped", "expected true or false")
-        to.finish()
-        return macro
-    raise ParseError(path, f"scenario.transforms[{i}].kind",
-                     f"unknown transform kind {kind!r}")
+SCENARIO = _table(Scenario, [
+    ("label", _string, REQUIRED, None),
+    ("arch", _path, REQUIRED, None, "arch_path"),
+    ("workload", _path, REQUIRED, None, "workload_path"),
+    ("mapping", _path, None, None, "mapping_path"),
+    ("ai_profile", _ai_profile, None, None),
+    ("ref_level", _integer, None, (">=", 1)),
+    ("transforms", _transforms, (), None),
+])
+
+
+# ---------------------------------------------------------------------------
+# files
+
+
+def parse_arch(path: str | Path) -> ArchSpec:
+    arch = _read(path, "arch", _load_json(path), ARCH)
+    first_named: dict[str, int] = {}  # level name -> its first index
+    for i, lvl in enumerate(arch.levels):
+        if lvl.name in first_named:
+            raise ParseError(path, f"arch.levels[{i}].name",
+                             f"duplicate level name {lvl.name!r} "
+                             f"(also arch.levels[{first_named[lvl.name]}])")
+        first_named[lvl.name] = i
+    if any(lvl.level_index is None for lvl in arch.levels):
+        arch = arch._replace(levels=tuple(
+            lvl if lvl.level_index is not None else lvl._replace(level_index=i)
+            for i, lvl in enumerate(arch.levels, 1)))
+    return arch
+
+
+def parse_workload(path: str | Path) -> WorkloadSpec:
+    return _read(path, "workload", _load_json(path), WORKLOAD)
+
+
+def parse_mapping(path: str | Path) -> MappingSpec:
+    return _read(path, "mapping", _load_json(path), MAPPING)
 
 
 def parse_scenario(path: str | Path) -> Scenario:
     p = Path(path)
-    root = _Obj(p, "scenario", _load_json(p))
-    base = p.parent
-
-    def resolve(key: str, required: bool) -> Path | None:
-        val = root.take(key, required=required)
-        if val is None:
-            return None
-        if not isinstance(val, str):
-            raise ParseError(p, f"scenario.{key}", "expected a file path string")
-        # joined, not resolved: opening the file resolves ".." and
-        # symlinks, so a realpath here would only add an lstat per component
-        return (base / val).absolute()
-
-    label = root.take("label")
-    if not isinstance(label, str):
-        raise ParseError(p, "scenario.label", "expected a string")
-    arch_path = resolve("arch", required=True)
-    workload_path = resolve("workload", required=True)
-    mapping_path = resolve("mapping", required=False)
-
-    ai_raw = root.take("ai_profile", required=False)
-    ai_profile = None
-    if ai_raw is not None:
-        if not isinstance(ai_raw, dict):
-            raise ParseError(p, "scenario.ai_profile",
-                             "expected an object of level index -> AI")
-        try:
-            ai_profile = {int(k): float(v) for k, v in ai_raw.items()}
-        except (TypeError, ValueError) as exc:
-            raise ParseError(p, "scenario.ai_profile", str(exc)) from exc
-        for k, v in ai_profile.items():
-            if v <= 0 or not math.isfinite(v):
-                raise ParseError(p, f"scenario.ai_profile.{k}",
-                                 "AI must be positive and finite")
-    if mapping_path is None and ai_profile is None:
+    scenario = _read(p, "scenario", _load_json(p), SCENARIO)
+    if scenario.mapping_path is None and scenario.ai_profile is None:
         raise ParseError(p, "scenario", "needs either 'mapping' or 'ai_profile'")
-
-    ref_level = root.take("ref_level", required=False)
-    if ref_level is not None and (
-            not isinstance(ref_level, int) or isinstance(ref_level, bool) or ref_level < 1):
-        raise ParseError(p, "scenario.ref_level", "expected an integer >= 1")
-    transforms_raw = root.take("transforms", required=False, default=[])
-    if not isinstance(transforms_raw, list):
-        raise ParseError(p, "scenario.transforms", "expected a list")
-    transforms = tuple(
-        _parse_transform(p, i, raw) for i, raw in enumerate(transforms_raw)
-    )
-    scenario = Scenario(
-        label=label,
-        arch_path=arch_path,
-        workload_path=workload_path,
-        mapping_path=mapping_path,
-        ai_profile=ai_profile,
-        ref_level=ref_level,
-        transforms=transforms,
-    )
-    root.finish()
     return scenario
 
 
-# ---------------------------------------------------------------------------
-# emission
+def arch_to_dict(arch: ArchSpec) -> dict:
+    return _to_dict(arch, ARCH)
+
+
+def workload_to_dict(wl: WorkloadSpec) -> dict:
+    return _to_dict(wl, WORKLOAD)
+
+
+def mapping_to_dict(mapping: MappingSpec) -> dict:
+    return _to_dict(mapping, MAPPING)
 
 
 def emit_json(data: dict, path: str | Path) -> None:

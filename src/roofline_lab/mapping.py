@@ -246,15 +246,6 @@ def count_accesses(
     )
 
 
-def arithmetic_intensity(profile: AccessProfile, wl: WorkloadSpec) -> dict[int, float]:
-    """AI per level, ops/byte.  A level moving zero bytes exerts no
-    bound and reports infinite intensity."""
-    out: dict[int, float] = {}
-    for li, nbytes in profile.n_bytes.items():
-        out[li] = wl.n_op / nbytes if nbytes > 0 else math.inf
-    return out
-
-
 def spatial_utilization(arch: ArchSpec, mapping: MappingSpec) -> float:
     """Fraction of MAC lattice points doing useful work each cycle.
 

@@ -391,6 +391,38 @@ def arch_violations(arch: ArchSpec) -> list[str]:
     return v
 
 
+def workload_violations(wl: WorkloadSpec) -> list[str]:
+    """The workload's own invariants, which every evaluation needs,
+    mapped or not; an empty list means valid."""
+    v: list[str] = []
+    sizes = wl.dim_sizes
+    if len(sizes) != len(wl.dims):
+        v.append(f"duplicate loop dim names in workload: {[d.name for d in wl.dims]}")
+    names = [op.name for op in wl.operands]
+    if len(set(names)) != len(names):
+        v.append(f"duplicate operand names in workload: {names}")
+    relevant: set[str] = set()
+    for op in wl.operands:
+        relevant |= op.relevant
+        if len(op.relevant) != len(op.relevant_dims):
+            v.append(f"operand {op.name}: relevant dims {list(op.relevant_dims)} "
+                     "name a dim more than once")
+        extra = op.relevant - sizes.keys()
+        if extra:
+            v.append(f"operand {op.name}: relevant dims {sorted(extra)} not in workload")
+        if op.precision_bits < 1:
+            v.append(f"operand {op.name}: precision_bits must be >= 1")
+    n_outputs = sum(1 for op in wl.operands if op.role == OUTPUT)
+    if n_outputs != 1:
+        v.append(f"workload must have exactly one output-like operand (got {n_outputs})")
+    for d in wl.dims:
+        if d.size < 1:
+            v.append(f"dim {d.name}: size must be >= 1")
+        if d.name not in relevant:
+            v.append(f"dim {d.name} is relevant to no operand")
+    return v
+
+
 def validate(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec) -> list[str]:
     """Check every structural invariant; an empty list means valid.
 
@@ -419,28 +451,8 @@ def _check(
     """``validate``'s violations plus the extent table its closure and
     capacity checks read, with a row per level of the architecture or
     of the mapping, whichever has more."""
-    v = arch_violations(arch)
-
-    # -- workload invariants
+    v = arch_violations(arch) + workload_violations(wl)
     sizes = wl.dim_sizes
-    if len(sizes) != len(wl.dims):
-        v.append(f"duplicate loop dim names in workload: {[d.name for d in wl.dims]}")
-    relevant: set[str] = set()
-    for op in wl.operands:
-        relevant.update(op.relevant_dims)
-        extra = set(op.relevant_dims) - sizes.keys()
-        if extra:
-            v.append(f"operand {op.name}: relevant dims {sorted(extra)} not in workload")
-        if op.precision_bits < 1:
-            v.append(f"operand {op.name}: precision_bits must be >= 1")
-    n_outputs = sum(1 for op in wl.operands if op.role == OUTPUT)
-    if n_outputs != 1:
-        v.append(f"workload must have exactly one output-like operand (got {n_outputs})")
-    for d in wl.dims:
-        if d.size < 1:
-            v.append(f"dim {d.name}: size must be >= 1")
-        if d.name not in relevant:
-            v.append(f"dim {d.name} is relevant to no operand")
 
     # -- mapping invariants
     seen_axes: set[str] = set()

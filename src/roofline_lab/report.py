@@ -105,6 +105,9 @@ def scenario_traffic(loaded: LoadedScenario, count=None) -> Traffic:
             arch = arch._replace(array=bundle.array)
             if mapping is None:
                 raise ValueError("an IMC transform needs a concrete mapping")
+            if mapping.pinned_operand not in (None, bundle.pinned_operand):
+                raise ValueError(f"the mapping pins {mapping.pinned_operand!r}, but an "
+                                 f"IMC transform pins {bundle.pinned_operand!r}")
             mapping = mapping._replace(
                 pinned_operand=bundle.pinned_operand,
                 reload_cycles_per_tile=bundle.reload_cycles_per_tile,

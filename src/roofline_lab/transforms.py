@@ -101,10 +101,14 @@ def apply_quantization(
     so effective peak ops/cycle is base/(N_w + overhead) of nominal.
     Activations below the native width are not supported there.
     """
-    if not any(op.name == q.weight_operand for op in wl.operands):
+    names = {op.name for op in wl.operands}
+    if q.weight_operand not in names:
         raise UnsupportedConfigError(f"weight_operand {q.weight_operand!r} names no "
                                      f"operand of workload {wl.name!r}")
     for name, bits in q.precision_bits.items():
+        if name not in names:
+            raise UnsupportedConfigError(f"precision_bits {name!r} names no operand "
+                                         f"of workload {wl.name!r}")
         if bits < 1:
             raise UnsupportedConfigError(f"precision_bits for {name} must be >= 1 (got {bits})")
     base = arch.base_precision_bits
@@ -149,12 +153,6 @@ def apply_quantization(
         )
     new_wl = wl._replace(operands=tuple(new_operands))
     return new_arch, new_wl
-
-
-def bit_serial_cycle_factor(q: QuantConfig) -> float:
-    """Cycles per MAC set relative to one weight bit per cycle."""
-    w_bits = q.precision_bits.get(q.weight_operand, 1)
-    return w_bits + q.bit_serial_fixed_overhead
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +204,11 @@ def apply_sparsity(wl: WorkloadSpec, s: SparsityConfig) -> SparsityModel:
         raise SparsityConfigError(f"unknown sparsity mode {s.mode!r}")
     if not (0 < s.utilization_penalty <= 1):
         raise SparsityConfigError("utilization_penalty must be in (0, 1]")
+    names = {op.name for op in wl.operands}
     for name, d in s.density.items():
+        if name not in names:
+            raise SparsityConfigError(f"density {name!r} names no operand "
+                                      f"of workload {wl.name!r}")
         if not (0 < d <= 1):
             raise SparsityConfigError(f"density for {name} must be in (0, 1]")
 
@@ -289,15 +291,12 @@ class ImcArchBundle(NamedTuple):
     The compute array spans (rows x cols); weights live in the bit
     cells, so the mapping must pin the weight operand (zero L1 traffic
     for it) and pay ``reload_cycles_per_tile`` serialized cycles per
-    weight tile unless reloads are overlapped.  Input and output
-    traffic are row- and column-wide words each cycle.
+    weight tile unless reloads are overlapped.
     """
 
     array: ComputeArray
     pinned_operand: str
     reload_cycles_per_tile: int | None
-    words_in_per_cycle: int
-    words_out_per_cycle: int
 
 
 def imc_macro_as_arch(m: ImcMacro, weight_operand: str = "W") -> ImcArchBundle:
@@ -312,8 +311,6 @@ def imc_macro_as_arch(m: ImcMacro, weight_operand: str = "W") -> ImcArchBundle:
         array=array,
         pinned_operand=weight_operand,
         reload_cycles_per_tile=reload,
-        words_in_per_cycle=m.rows,
-        words_out_per_cycle=m.cols,
     )
 
 

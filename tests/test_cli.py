@@ -191,6 +191,24 @@ class TestAnalyze:
         assert code == 1 and "Traceback" not in err
         assert "weight_operand 'Wt' names no operand" in err
 
+    @pytest.mark.parametrize("scenario", ["gemm_dense", "fig3_ai16"])
+    @pytest.mark.parametrize("index, change, message", [
+        (1, {"name": "W"}, "duplicate operand names in workload: ['W', 'W', 'O']"),
+        (0, {"relevant_dims": ["C", "K", "C"]},
+         "operand W: relevant dims ['C', 'K', 'C'] name a dim more than once"),
+    ], ids=["duplicate-name", "repeated-dim"])
+    def test_ambiguous_operand_is_an_error(self, tmp_path, capsys, scenario, index,
+                                           change, message):
+        wl = json.loads(fixture_path("gemm.wl").read_text())
+        wl["operands"][index].update(change)
+        (tmp_path / "gemm.wl").write_text(json.dumps(wl))
+        data = json.loads(fixture_path(f"{scenario}.scenario").read_text())
+        data["workload"] = str(tmp_path / "gemm.wl")
+        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert message in err
+
     def test_svg_output_marks_the_knee(self, tmp_path):
         code, out = run(
             "analyze", "--scenario", scenario_arg("fig3_ai16.scenario"),
@@ -290,6 +308,18 @@ class TestSweep:
                 assert code == 0 and len(out.splitlines()) == 2
             else:
                 assert code in (1, 2) and field in err, (value, code, err)
+
+    def test_list_as_pinned_operand_is_a_parse_error(self, tmp_path, capsys):
+        mapping = json.loads(fixture_path("os_map.map").read_text())
+        mapping["pinned_operand"] = []
+        (tmp_path / "pinned.map").write_text(json.dumps(mapping))
+        data = json.loads(fixture_path("gemm_dense.scenario").read_text())
+        data["mapping"] = str(tmp_path / "pinned.map")
+        code, _ = run("sweep", "--scenario", str(fixture_scenario(tmp_path, data)),
+                      "--param", "B_L2", "--values", "8,16")
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "mapping.pinned_operand: expected a string" in err
 
     def test_weight_precision_sweep_doubles_plateau(self):
         code, out = run(

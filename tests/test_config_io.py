@@ -45,33 +45,30 @@ class TestShippedFixtures:
         assert scenario.label
 
 
+PARSERS = {".arch": (parse_arch, arch_to_dict), ".wl": (parse_workload, workload_to_dict),
+           ".map": (parse_mapping, mapping_to_dict)}
+SHIPPED = sorted(p.name for p in fixture_path("").iterdir() if p.suffix in PARSERS)
+
+
 class TestRoundTrip:
-    def test_arch(self, tmp_path):
-        arch = parse_arch(fixture_path("fig3.arch"))
-        out = tmp_path / "a.arch"
-        emit_json(arch_to_dict(arch), out)
-        assert parse_arch(out) == arch
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_round_trip(self, tmp_path, name):
+        parse, to_dict = PARSERS[fixture_path(name).suffix]
+        spec = parse(fixture_path(name))
+        if name == "imc256.map":  # and keeps the reload fields
+            spec = spec._replace(pinned_operand="W", reload_cycles_per_tile=256)
+        out = tmp_path / name
+        emit_json(to_dict(spec), out)
+        assert parse(out) == spec
 
-    def test_workload(self, tmp_path):
-        wl = parse_workload(fixture_path("gemm.wl"))
-        out = tmp_path / "w.wl"
-        emit_json(workload_to_dict(wl), out)
-        assert parse_workload(out) == wl
+    def test_tables_follow_the_constructors(self):
+        from roofline_lab import config_io
 
-    def test_mapping(self, tmp_path):
-        mapping = parse_mapping(fixture_path("os_map.map"))
-        out = tmp_path / "m.map"
-        emit_json(mapping_to_dict(mapping), out)
-        assert parse_mapping(out) == mapping
-
-    def test_imc_mapping_round_trip_keeps_reload_fields(self, tmp_path):
-        mapping = parse_mapping(fixture_path("imc256.map"))._replace(
-            pinned_operand="W",
-            reload_cycles_per_tile=256,
-        )
-        out = tmp_path / "m.map"
-        emit_json(mapping_to_dict(mapping), out)
-        assert parse_mapping(out) == mapping
+        tables = [config_io.ARRAY, config_io.LEVEL, config_io.ARCH, config_io.OPERAND,
+                  config_io.WORKLOAD, config_io.SPATIAL, config_io.MAPPING,
+                  config_io.SCENARIO, *config_io.TRANSFORMS.values()]
+        for table in tables:  # _read builds each record positionally
+            assert tuple(f.attr for f in table.fields) == table.cls._fields
 
 
 class TestErrors:

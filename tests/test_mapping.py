@@ -8,7 +8,7 @@ import pytest
 from roofline_lab import (
     InvalidMappingError,
     MappingSpec,
-    arithmetic_intensity,
+    analyze_mapping,
     count_accesses,
     derive_stationarity,
     enumerate_accesses,
@@ -157,9 +157,8 @@ class TestArithmeticIntensity:
             spatial=[unroll("row", "C", 4), unroll("col", "K", 4)],
         )
         arch = make_arch([(64, 0.1)], dims=(("row", 4), ("col", 4)))
-        profile = count_accesses(arch, wl, mapping)
-        ai = arithmetic_intensity(profile, wl)
-        assert ai[1] == wl.n_op / profile.n_bytes[1]
+        r = analyze_mapping(arch, wl, mapping)
+        assert r.ai[1] == wl.n_op / r.profile.n_bytes[1]
 
     def test_weight_bound_fc_batch1_ai_is_flat(self):
         # fully connected, batch 1: weights index every loop dim, so no
@@ -179,8 +178,7 @@ class TestArithmeticIntensity:
         )
         arch = make_arch([(64, 0.1), (16, 1.0), (4, 10.0)])
         mapping = plain_mapping([[("C", 64)], [("K", 64)], []])
-        profile = count_accesses(arch, wl, mapping)
-        ai = arithmetic_intensity(profile, wl)
+        ai = analyze_mapping(arch, wl, mapping).ai
         assert ai[2] == ai[3]  # weight volume pins both upper levels
         assert max(ai.values()) / min(ai.values()) < 2.1
         assert max(ai.values()) < 2.0  # low AI throughout
@@ -201,8 +199,7 @@ class TestArithmeticIntensity:
             ],
             spatial=[unroll("row", "K", 16), unroll("col", "C", 16)],
         )
-        profile = count_accesses(arch, wl, mapping)
-        ai = arithmetic_intensity(profile, wl)
+        ai = analyze_mapping(arch, wl, mapping).ai
         assert ai[3] > ai[2] > ai[1]
 
     def test_conv_counts_match_oracle_on_small_instance(self):
@@ -229,10 +226,9 @@ class TestArithmeticIntensity:
             pinned_operand="W",
         )
         # pin W and shrink I/O to zero-width: only checks the inf path
-        profile = count_accesses(arch, wl, mapping)
-        ai = arithmetic_intensity(profile, wl)
-        assert ai[1] < math.inf  # I and O still move
-        assert profile.traffic[(1, "W")].bytes == 0.0
+        r = analyze_mapping(arch, wl, mapping)
+        assert r.ai[1] < math.inf  # I and O still move
+        assert r.profile.traffic[(1, "W")].bytes == 0.0
 
 
 class TestCubeRootTrafficScaling:

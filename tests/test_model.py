@@ -105,6 +105,26 @@ def test_capacity_violation_is_reported():
     assert any("capacity" in v for v in violations)
 
 
+def _one_level_gemm(**operand_changes):
+    """A valid one-level GEMM whose operand I takes ``operand_changes``."""
+    wl = gemm(4, 4, 4)
+    w, i, o = wl.operands
+    wl = wl._replace(operands=(w, i._replace(**operand_changes), o))
+    return make_arch([(8, 0.1)]), wl, plain_mapping([[("C", 4), ("B", 4), ("K", 4)]])
+
+
+def test_duplicate_operand_names_are_a_violation():
+    # the second W's traffic would overwrite the first's, keyed by name
+    assert validate(*_one_level_gemm(name="W")) == [
+        "duplicate operand names in workload: ['W', 'W', 'O']"]
+
+
+def test_a_relevant_dim_listed_twice_is_a_violation():
+    # tile_elements would multiply the C extent in twice
+    assert validate(*_one_level_gemm(relevant_dims=("B", "C", "C"))) == [
+        "operand I: relevant dims ['B', 'C', 'C'] name a dim more than once"]
+
+
 def test_field_invariants_are_violations_not_exceptions():
     arch = ArchSpec(
         array=ComputeArray(dims=(("x", 1),), energy_per_op=0.5),
@@ -279,7 +299,7 @@ RECORDS = [
     (ImcMacro, lambda: ImcMacro(rows=64, cols=8), "rows", 32),
     (ImcDynamicRange, lambda: ImcDynamicRange(3, 2), "levels", 5),
     (ImcArchBundle, lambda: imc_macro_as_arch(ImcMacro(rows=64, cols=8)),
-     "words_in_per_cycle", 1),
+     "reload_cycles_per_tile", 7),
     (ImcMappingTradeoff, lambda: imc_mapping_tradeoff([(10, 2.0), (20, 1.0)]),
      "storage_optimal_compute_utilization", 0.5),
 ]

@@ -9,9 +9,8 @@ from roofline_lab import (
     UnsupportedConfigError,
     amdahl_bound,
     apply_quantization,
+    analyze_mapping,
     apply_sparsity,
-    arithmetic_intensity,
-    count_accesses,
     imc_dynamic_range,
     imc_macro_as_arch,
     imc_mapping_tradeoff,
@@ -47,8 +46,8 @@ class TestQuantization:
         arch, wl, mapping = setup
         q = QuantConfig(precision_bits={"W": 4, "I": 4, "O": 4})
         arch2, wl2 = apply_quantization(arch, wl, q)
-        ai1 = arithmetic_intensity(count_accesses(arch, wl, mapping), wl)
-        ai2 = arithmetic_intensity(count_accesses(arch2, wl2, mapping), wl2)
+        ai1 = analyze_mapping(arch, wl, mapping).ai
+        ai2 = analyze_mapping(arch2, wl2, mapping).ai
         for li in ai1:
             assert ai2[li] == 2 * ai1[li]
 
@@ -147,8 +146,8 @@ class TestSparsity:
         # ops shrink by d, sparse bytes by d*(b+x)/b >= d: intensity can
         # only drop once indices cost anything
         arch, wl, mapping = setup
-        profile = count_accesses(arch, wl, mapping)
-        dense_ai = arithmetic_intensity(profile, wl)
+        dense = analyze_mapping(arch, wl, mapping)
+        profile, dense_ai = dense.profile, dense.ai
         cfg = SparsityConfig(mode="unstructured", density={"W": 0.25},
                              index_bits=16)
         model = apply_sparsity(wl, cfg)
@@ -185,8 +184,6 @@ class TestImc:
         bundle = imc_macro_as_arch(m)
         assert bundle.reload_cycles_per_tile == 256
         assert bundle.array.energy_per_op == 0.01 * 1.25
-        assert bundle.words_in_per_cycle == 256
-        assert bundle.words_out_per_cycle == 256
         assert bundle.pinned_operand == "W"
 
     def test_overlapped_reload_removes_the_stall(self):
