@@ -398,18 +398,17 @@ def workload_violations(wl: WorkloadSpec) -> list[str]:
     sizes = wl.dim_sizes
     if len(sizes) != len(wl.dims):
         v.append(f"duplicate loop dim names in workload: {[d.name for d in wl.dims]}")
-    names = [op.name for op in wl.operands]
-    if len(set(names)) != len(names):
-        v.append(f"duplicate operand names in workload: {names}")
+    if len({op.name for op in wl.operands}) != len(wl.operands):
+        v.append(f"duplicate operand names in workload: {[op.name for op in wl.operands]}")
     relevant: set[str] = set()
     for op in wl.operands:
         relevant |= op.relevant
         if len(op.relevant) != len(op.relevant_dims):
             v.append(f"operand {op.name}: relevant dims {list(op.relevant_dims)} "
                      "name a dim more than once")
-        extra = op.relevant - sizes.keys()
-        if extra:
-            v.append(f"operand {op.name}: relevant dims {sorted(extra)} not in workload")
+        if not op.relevant <= sizes.keys():
+            v.append(f"operand {op.name}: relevant dims "
+                     f"{sorted(op.relevant - sizes.keys())} not in workload")
         if op.precision_bits < 1:
             v.append(f"operand {op.name}: precision_bits must be >= 1")
     n_outputs = sum(1 for op in wl.operands if op.role == OUTPUT)
