@@ -433,6 +433,10 @@ def parse_scenario(path: str | Path) -> Scenario:
     scenario = _read(p, "scenario", _load_json(p), SCENARIO)
     if scenario.mapping_path is None and scenario.ai_profile is None:
         raise ParseError(p, "scenario", "needs either 'mapping' or 'ai_profile'")
+    if scenario.mapping_path is not None and scenario.ai_profile is not None:
+        raise ParseError(p, "scenario.ai_profile",
+                         f"not allowed with 'mapping' ({scenario.mapping_path}): "
+                         "give one source of traffic")
     return scenario
 
 

@@ -57,6 +57,7 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls._fields)  # one C call for eq and hash
+        cls._index = {f: i for i, f in enumerate(cls._fields)}  # for _replace
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -80,10 +81,17 @@ class Record:
         return self.__class__, self._values(self)
 
     def _replace(self, **changes):
-        """A copy with the named fields changed, built by ``__init__``."""
-        values = dict(zip(self._fields, self._values(self)))
-        values.update(changes)
-        return self.__class__(**values)
+        """A copy with the named fields changed, built by ``__init__``
+        from one positional value per field."""
+        values = list(self._values(self))
+        index = self._index
+        for name, value in changes.items():
+            try:
+                values[index[name]] = value
+            except KeyError:
+                raise TypeError(f"{self.__class__.__qualname__}._replace: "
+                                f"unknown field {name!r}") from None
+        return self.__class__(*values)
 
 
 class MemoryLevel(Record):

@@ -1,23 +1,30 @@
 """Brute-force ground truth for the analytic reuse model.
 
-``enumerate_accesses`` walks the mapped loop nest literally, visiting
-every innermost iteration, keeping per (operand, boundary) the
-loop-counter tuple that identifies the tile resident below that
-boundary.  A fetch event fires whenever the tuple changes; a revisit
-(the same tuple seen again later) marks partially accumulated output
-tiles bouncing across the boundary.  The odometer reports the
-outermost counter each step moved, so only the watchers holding a
-counter at or inside it are re-keyed; every other tuple cannot have
-changed.  No closed forms: the counts come out of the walk, so they
-can arbitrate the closed-form engine in ``mapping``.  Tile sizes and
-element widths are not counts and come from the extent table built
-while validating the mapping (``model.tile_extents``, which the closed
-forms read too) and ``mapping.output_bytes_per_element``.
+``enumerate_accesses`` counts, per (operand, boundary), the fetches of
+the tile resident below that boundary.  A watcher keys that tile by the
+loop counters that index the operand at or above the boundary; by
+definition a fetch event fires on every iteration whose key differs
+from the previous iteration's, and a revisit (the same key seen again
+at a later fetch) marks partially accumulated output tiles bouncing
+across the boundary.  A counter moves only when every counter inside it
+wraps, and wrapping changes each of those, so the key changes exactly
+when a counter at or outside the watcher's deepest relevant one moves.
+The watcher's fetch events are therefore the states of those outer
+counters, in walk order: the walk enumerates them with
+``itertools.product`` and hashes each state's key, instead of stepping
+every iteration.  Only the L1 tiles' states are held in a list; longer
+state sequences are read lazily.  No closed forms: every count is a
+count of enumerated states, so the counts can arbitrate the
+closed-form engine in ``mapping``.  Tile sizes and element widths are
+not counts and come from the extent table built while validating the
+mapping (``model.tile_extents``, which the closed forms read too) and
+``mapping.output_bytes_per_element``.
 
-``simulate_cycles`` replays the same walk as a discrete pipeline:
-every memory level moves at most B_Li bytes/cycle, the array runs one
-spatial step per cycle, and tile transfers either overlap compute
-(double buffering) or serialize with it.
+``simulate_cycles`` replays the same walk as a discrete pipeline over
+the L1 tiles, the states of the loops at levels >= 2: every memory
+level moves at most B_Li bytes/cycle, the array runs one spatial step
+per cycle, and tile transfers either overlap compute (double
+buffering) or serialize with it.
 
 Both refuse iteration spaces above ``cap`` (default 2**20): this is a
 desk-scale oracle, not a simulator.
@@ -26,7 +33,8 @@ desk-scale oracle, not a simulator.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from itertools import accumulate, chain, compress, count, product, repeat, tee
+from operator import add, itemgetter, mul, ne, truediv
 from typing import NamedTuple
 
 from .mapping import fold_passes, output_bytes_per_element
@@ -75,8 +83,26 @@ class CycleSimResult(NamedTuple):
     n_tiles: int
 
 
+def _moved(states, depth: int):
+    """Per state of ``states``, in order, whether one of its outer
+    ``depth`` counters differs from the previous state's (the first
+    state always counts as moved)."""
+    heads, previous = tee(map(itemgetter(slice(0, depth)), states))
+    return map(ne, heads, chain((None,), previous))
+
+
+def _repeats(keys) -> bool:
+    """Whether a key repeats, reading ``keys`` up to the first repeat."""
+    seen: set = set()
+    for key in keys:
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
+
 class _Walk:
-    """Shared literal walk over the temporal nest."""
+    """Shared literal walk over the temporal nest, one L1 tile at a time."""
 
     def __init__(self, arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec,
                  cap: int, record: bool = False):
@@ -92,91 +118,73 @@ class _Walk:
         self.boundaries = list(range(1, arch.n_levels + 1))
         self.record = record
         # outermost level's loops outermost; spatial runs as one parallel
-        # step.  Only loops with trip > 1 ever move, so the odometer holds
-        # just those: counter j >= 1 is the j-th moving loop, outermost
-        # first, behind a sentinel counter 0 that no step of the walk moves.
+        # step.  Only loops with trip > 1 ever move, so counter j is the
+        # j-th moving loop, outermost first.  The loops at levels >= 2
+        # come first; each state of theirs is one L1 tile.
         moving = [(lv, d, t) for lv, d, t in reversed(nest) if t > 1]
-        self.trips = [2] + [t for _, _, t in moving]
-
+        self.ranges = [range(t) for _, _, t in moving]
+        self.n_outer = sum(lv >= 2 for lv, _, _ in moving)
         # watchers: per (operand, boundary) the counters whose values
-        # identify the resident tile, read by one itemgetter (the
-        # sentinel stands in when no moving loop is relevant)
+        # identify the resident tile
         self.watchers: list[tuple[str, int]] = []
-        self.tile_keys = []
-        deepest: list[int] = []
+        self.positions: list[tuple[int, ...]] = []
         for op in wl.operands:
-            rel = op.relevant
+            rel = [(j, lv) for j, (lv, d, _) in enumerate(moving) if d in op.relevant]
             for b in self.boundaries:
-                positions = [j for j, (lv, d, _) in enumerate(moving, 1)
-                             if lv >= b and d in rel]
                 self.watchers.append((op.name, b))
-                self.tile_keys.append(itemgetter(*(positions or [0])))
-                deepest.append(max(positions, default=0))
-        # A step whose odometer stopped at counter ``stop`` reset every
-        # counter inside it, so a watcher's tile changed iff its deepest
-        # counter is at or inside ``stop``: moved[stop] lists those
-        # watchers in watcher order.  Before the first step (stop 0)
-        # every watcher fires.
-        self.moved = [[w for w, deep in enumerate(deepest) if deep >= stop]
-                      for stop in range(len(self.trips))]
-        # tile tracker: loops at levels >= 2 delimit L1 tiles
-        self.tile_deepest = max(
-            (j for j, (lv, _, _) in enumerate(moving, 1) if lv >= 2), default=0)
+                self.positions.append(tuple(j for j, lv in rel if lv >= b))
 
     def run(self) -> None:
-        """Walk the nest once, setting the per-event and per-tile counts."""
-        trips = self.trips
-        moved = self.moved
-        tile_keys = self.tile_keys
-        tile_deepest = self.tile_deepest
-        record = self.record
-        n_watchers = len(self.watchers)
-        counters = [0] * len(trips)
-        innermost = len(trips) - 1
-        seen: list[set] = [set() for _ in range(n_watchers)]
-        revisited = [False] * n_watchers
-        tiles: list[list[int]] = []  # per L1 tile, each watcher's events
-        tile_starts: list[int] = []
-        pending: list[tuple[int, int]] = []
-        stop = 0
-        for cycle in range(self.space):
-            if stop <= tile_deepest:
-                counts = [0] * n_watchers
-                tiles.append(counts)
-                tile_starts.append(cycle)
-            for w in moved[stop]:
-                counts[w] += 1
-                # revisited is a flag: once set, later tiles change nothing
-                if not revisited[w]:
-                    tid = tile_keys[w](counters)
-                    if tid in seen[w]:
-                        revisited[w] = True
-                    else:
-                        seen[w].add(tid)
-                if record:
-                    pending.append((cycle, w))
-            # odometer: innermost counter is the last entry; only the
-            # carry out of the last step reaches the sentinel
-            stop = innermost
-            while counters[stop] + 1 == trips[stop]:
-                counters[stop] = 0
-                stop -= 1
-            counters[stop] += 1
+        """Enumerate every watcher's fetch states, setting the per-event
+        and per-tile counts."""
+        ranges, n_outer = self.ranges, self.n_outer
+        tiles = list(product(*ranges[:n_outer]))  # one state per L1 tile
+        inner = ranges[n_outer:]  # the counters that move inside one tile
+        steps = sum(1 for _ in product(*inner))
+        # A watcher fires on every state of its counters [0, depth).  At
+        # or outside the tile loops that is once in each tile its
+        # counters moved into (True) and never in the others (False);
+        # inside them, once per state of its inner counters, alike in
+        # every tile.
+        depths = [pos[-1] + 1 if pos else 0 for pos in self.positions]
+        per_tile = {}
+        for depth in dict.fromkeys(depths):
+            if depth <= n_outer:
+                per_tile[depth] = list(_moved(tiles, depth))
+            else:
+                fired = sum(1 for _ in product(*inner[:depth - n_outer]))
+                per_tile[depth] = [fired] * len(tiles)
+        # one tile id per fetch state; a single state never repeats
+        revisits = {
+            pos: bool(pos) and _repeats(map(itemgetter(*pos), product(*ranges[:depth])))
+            for pos, depth in dict(zip(self.positions, depths)).items()
+        }
 
-        tile_starts.append(self.space)
-        self.tile_steps = [b - a for a, b in zip(tile_starts, tile_starts[1:])]
         self.n_tiles = len(tiles)
+        self.tile_steps = [steps] * len(tiles)
         self.tile_event_counts = {
-            (b, name): [counts[w] for counts in tiles]
-            for w, (name, b) in enumerate(self.watchers)
+            (b, name): per_tile[depth] for (name, b), depth in zip(self.watchers, depths)
         }
         self.events = {key: sum(c) for key, c in self.tile_event_counts.items()}
         self.revisited = {
-            (b, name): revisited[w] for w, (name, b) in enumerate(self.watchers)
+            (b, name): revisits[pos] for (name, b), pos in zip(self.watchers, self.positions)
         }
-        self._record_pending = [
-            (cycle, self.watchers[w][1], self.watchers[w][0]) for cycle, w in pending
-        ]
+        self._record_pending = []
+        if self.record:
+            starts = range(0, self.space, steps)
+            pending: list[tuple[int, int]] = []
+            for w, depth in enumerate(depths):
+                if depth <= n_outer:
+                    cycles = compress(starts, per_tile[depth])
+                else:
+                    offsets = list(compress(
+                        count(), _moved(product(*inner), depth - n_outer)))
+                    cycles = (start + o for start in starts for o in offsets)
+                pending.extend(zip(cycles, repeat(w)))
+            pending.sort()  # walk order: by cycle, then watcher order
+            self._record_pending = [
+                (cycle, self.watchers[w][1], self.watchers[w][0]) for cycle, w in pending
+            ]
 
     def event_bytes(self) -> dict[tuple[int, str], float]:
         """Bytes per single event, fixed per (boundary, operand)."""
@@ -204,7 +212,8 @@ def enumerate_accesses(
     cap: int = DEFAULT_CAP,
     record_events: bool = False,
 ) -> EnumerationTrace:
-    """Count every boundary crossing by literally iterating the nest."""
+    """Count every boundary crossing by enumerating, per watcher, the
+    states of the nest's counters that change its tile."""
     walk = _Walk(arch, wl, mapping, cap, record=record_events)
     walk.run()
     per_event = walk.event_bytes()
@@ -244,15 +253,15 @@ def simulate_cycles(
     n_tiles = walk.n_tiles
     passes = fold_passes(arch, mapping)
 
-    # per-tile loads
+    # per-tile loads, summed per level in watcher order
     compute_steps = [s * passes for s in walk.tile_steps]
     level_bytes: dict[int, list[float]] = {
         b: [0.0] * n_tiles for b in walk.boundaries
     }
-    for (b, name), counts in walk.tile_event_counts.items():
-        eb = per_event[(b, name)]
-        for t, c in enumerate(counts):
-            level_bytes[b][t] += c * eb
+    for key, counts in walk.tile_event_counts.items():
+        b = key[0]
+        level_bytes[b] = list(map(add, level_bytes[b],
+                                  map(mul, counts, repeat(per_event[key]))))
 
     busy: dict[str, float] = {"compute": float(sum(compute_steps))}
     for b in walk.boundaries:
@@ -265,16 +274,14 @@ def simulate_cycles(
         return CycleSimResult(cycles=total, busy=busy, n_tiles=n_tiles)
 
     # overlapped: per-level prefetch pipelines feed a compute stage that
-    # is itself bounded by L1 streaming
-    upper = [b for b in walk.boundaries if b >= 2]
-    ready = {b: 0.0 for b in upper}
+    # is itself bounded by L1 streaming.  Each upper level's data for
+    # tile t is ready once it has moved every tile up to t.
+    ready = [accumulate(map(truediv, level_bytes[b], repeat(arch.level(b).bandwidth)))
+             for b in walk.boundaries[1:]]
+    data_ready = map(max, zip(*ready)) if ready else repeat(0.0)
+    stages = map(max, map(float, compute_steps),
+                 map(truediv, level_bytes[1], repeat(arch.level(1).bandwidth)))
     finish = 0.0
-    b1 = arch.level(1).bandwidth
-    for t in range(n_tiles):
-        for b in upper:
-            ready[b] += level_bytes[b][t] / arch.level(b).bandwidth
-        data_ready = max(ready.values()) if upper else 0.0
-        start = max(data_ready, finish)
-        stage = max(float(compute_steps[t]), level_bytes[1][t] / b1)
-        finish = start + stage
+    for data, stage in zip(data_ready, stages):
+        finish = max(data, finish) + stage
     return CycleSimResult(cycles=finish, busy=busy, n_tiles=n_tiles)

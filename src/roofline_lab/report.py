@@ -108,6 +108,11 @@ def scenario_traffic(loaded: LoadedScenario, count=None) -> Traffic:
             if mapping.pinned_operand not in (None, bundle.pinned_operand):
                 raise ValueError(f"the mapping pins {mapping.pinned_operand!r}, but an "
                                  f"IMC transform pins {bundle.pinned_operand!r}")
+            if mapping.reload_cycles_per_tile is not None:
+                raise ValueError(
+                    f"the mapping sets reload_cycles_per_tile "
+                    f"{mapping.reload_cycles_per_tile}, but an IMC transform sets the "
+                    f"macro's own ({bundle.reload_cycles_per_tile})")
             mapping = mapping._replace(
                 pinned_operand=bundle.pinned_operand,
                 reload_cycles_per_tile=bundle.reload_cycles_per_tile,

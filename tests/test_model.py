@@ -39,7 +39,7 @@ from roofline_lab import (
     validate,
 )
 from roofline_lab.config_io import Scenario, fixture_path, parse_scenario
-from roofline_lab.model import tile_elements, tile_extents
+from roofline_lab.model import Record, tile_elements, tile_extents
 from roofline_lab.oracle import TraceRecord
 from roofline_lab.report import LoadedScenario, load_scenario
 from roofline_lab.transforms import ImcDynamicRange
@@ -257,6 +257,21 @@ def test_replace_derives_the_operand_defaults_again():
     narrow = op._replace(precision_bits=2, accum_bits=None, bytes_per_element=None)
     assert (narrow.accum_bits, narrow.bytes_per_element) == (8, 1.0)
     assert op._replace(precision_bits=2).accum_bits == 32  # kept unless reset
+
+
+def test_replace_rejects_unknown_fields_and_rebuilds_derived_attributes():
+    hot = [(make, field) for cls, make, field, _ in RECORDS if issubclass(cls, Record)]
+    for make, field in hot:
+        record = make()
+        with pytest.raises(TypeError, match="zz_unknown"):
+            record._replace(zz_unknown=1)
+        with pytest.raises(TypeError, match="zz_unknown"):
+            record._replace(**{field: getattr(record, field), "zz_unknown": 1})
+    op = OperandSpec("I", "input", ("B", "C"))
+    assert op._replace(relevant_dims=("C", "K")).relevant == frozenset(("C", "K"))
+    profile = count_accesses(*_tiny())
+    assert profile.n_bytes  # cached on the original, rebuilt on the copy
+    assert profile._replace(traffic={}).n_bytes == {li: 0.0 for li in profile.levels}
 
 
 def _tiny():

@@ -1,6 +1,7 @@
 """The enumeration oracle itself: hand-pinned counts and event order,
-determinism, caps, the trace dump format, the cycle simulator, and
-generated nests held equal to the closed forms."""
+determinism, caps, the trace dump format, the cycle simulator, a
+literal iteration-by-iteration reference walk, and generated nests held
+equal to the closed forms."""
 
 import itertools
 import math
@@ -18,7 +19,9 @@ from roofline_lab import (
     task_latency,
     validate,
 )
-from roofline_lab.model import tile_elements, tile_extents
+from roofline_lab.mapping import fold_passes, output_bytes_per_element
+from roofline_lab.model import OUTPUT, tile_elements, tile_extents
+from roofline_lab.oracle import CycleSimResult, EnumerationTrace, TraceRecord
 
 from conftest import conv7, gemm, make_arch, plain_mapping, unroll
 
@@ -343,3 +346,134 @@ class TestGeneratedNests:
                 levels[li - 1] = levels[li - 1]._replace(capacity=capacity)
                 bounded = arch._replace(levels=tuple(levels))
                 assert validate(bounded, wl, mapping) == expected
+
+
+# ---------------------------------------------------------------------------
+# the literal reference walk
+
+
+def reference_walk(arch, wl, mapping):
+    """The oracle's definition stepped one iteration at a time: every
+    state of the whole temporal nest (trip-1 loops included, outermost
+    level's loops outermost), a fetch for each (operand, boundary) whose
+    tile tuple differs from the previous iteration's, the fetches of
+    each L1 tile (a state of the loops at levels >= 2), and each
+    fetch's cycle.  Returns the recorded trace and the overlapped and
+    serialized pipeline results."""
+    nest = list(reversed(mapping.nest(arch.n_levels)))
+    boundaries = range(1, arch.n_levels + 1)
+    watchers = [((b, op.name), [j for j, (lv, d, _) in enumerate(nest)
+                                if lv >= b and d in op.relevant_dims])
+                for op in wl.operands for b in boundaries]
+    tile_loops = [j for j, (lv, _, _) in enumerate(nest) if lv >= 2]
+    last: dict = {}
+    seen: dict = {key: set() for key, _ in watchers}
+    revisited = {key: False for key, _ in watchers}
+    tiles: list[dict] = []  # per L1 tile, each watcher's fetches
+    steps: list[int] = []  # per L1 tile, its iterations
+    fetches = []
+    last_tile = None
+    for cycle, counters in enumerate(itertools.product(*(range(t) for _, _, t in nest))):
+        tile = [counters[j] for j in tile_loops]
+        if tile != last_tile:
+            tiles.append(dict.fromkeys(revisited, 0))
+            steps.append(0)
+            last_tile = tile
+        steps[-1] += 1
+        for key, positions in watchers:
+            tid = tuple(counters[j] for j in positions)
+            if cycle and tid == last[key]:
+                continue
+            last[key] = tid
+            tiles[-1][key] += 1
+            revisited[key] = revisited[key] or tid in seen[key]
+            seen[key].add(tid)
+            fetches.append((cycle, *key))
+
+    extents = tile_extents(mapping, arch.n_levels)
+    per_event = {}
+    for op in wl.operands:
+        for b in boundaries:
+            if op.role == OUTPUT:
+                bpe = output_bytes_per_element(op, b, revisited.get((b - 1, op.name), False))
+                bpe *= 2 if revisited[(b, op.name)] else 1
+            else:
+                bpe = op.bytes_per_element
+            if mapping.pinned_operand == op.name and b == 1:
+                bpe = 0.0
+            per_event[(b, op.name)] = tile_elements(extents[b - 1], op) * bpe
+    events = {key: sum(t[key] for t in tiles) for key in revisited}
+    trace = EnumerationTrace(
+        events=events,
+        bytes={key: n * per_event[key] for key, n in events.items()},
+        revisited=revisited,
+        records=tuple(TraceRecord(c, b, name, per_event[(b, name)]) for c, b, name in fetches),
+    )
+
+    passes = fold_passes(arch, mapping)
+    level_bytes = {b: [0.0] * len(tiles) for b in boundaries}
+    for key in revisited:
+        for t, counts in enumerate(tiles):
+            level_bytes[key[0]][t] += counts[key] * per_event[key]
+    bandwidth = {b: arch.level(b).bandwidth for b in boundaries}
+    busy = {"compute": float(sum(s * passes for s in steps))}
+    for b in boundaries:
+        busy[arch.level(b).name] = sum(level_bytes[b]) / bandwidth[b]
+    serialized = CycleSimResult(
+        busy["compute"] + sum(busy[arch.level(b).name] for b in boundaries), busy, len(tiles))
+    ready = {b: 0.0 for b in boundaries if b >= 2}
+    finish = 0.0
+    for t, s in enumerate(steps):
+        for b in ready:
+            ready[b] += level_bytes[b][t] / bandwidth[b]
+        start = max(max(ready.values()) if ready else 0.0, finish)
+        finish = start + max(float(s * passes), level_bytes[1][t] / bandwidth[1])
+    return trace, CycleSimResult(finish, busy, len(tiles)), serialized
+
+
+def assert_walks_like_the_reference(arch, wl, mapping):
+    trace, overlapped, serialized = reference_walk(arch, wl, mapping)
+    recorded = enumerate_accesses(arch, wl, mapping, record_events=True)
+    assert recorded == trace
+    assert recorded.dump_lines() == trace.dump_lines()
+    assert enumerate_accesses(arch, wl, mapping) == trace._replace(records=())
+    assert simulate_cycles(arch, wl, mapping, overlap=True) == overlapped
+    assert simulate_cycles(arch, wl, mapping, overlap=False) == serialized
+
+
+def trip_one_fixture():
+    return single_level(), gemm(2, 2, 2), plain_mapping([[("K", 1), ("C", 2), ("K", 2), ("B", 2)]])
+
+
+def no_moving_loop_fixture():
+    arch = make_arch([(64, 0.1), (16, 1.0)], dims=(("row", 2), ("col", 2)))
+    mapping = plain_mapping([[("C", 1), ("B", 2)], [("K", 1), ("B", 2)]],
+                            spatial=(unroll("row", "C", 2), unroll("col", "K", 2)))
+    return arch, gemm(4, 2, 2), mapping
+
+
+def all_trip_one_fixture():
+    # every loop has trip 1: a one-iteration walk in one tile
+    arch = make_arch([(64, 0.1), (16, 1.0)], dims=(("row", 2), ("col", 2)))
+    mapping = plain_mapping([[("C", 1)], [("B", 1)]],
+                            spatial=(unroll("row", "C", 2), unroll("col", "K", 2)))
+    return arch, gemm(1, 2, 2), mapping
+
+
+class TestReferenceWalk:
+    @pytest.mark.parametrize("fixture", [trip_one_fixture, no_moving_loop_fixture,
+                                         all_trip_one_fixture])
+    def test_fixtures(self, fixture):
+        assert_walks_like_the_reference(*fixture())
+
+    def test_hand_traced_nest(self):
+        arch, wl = single_level(), gemm(2, 2, 2)
+        mapping = plain_mapping([[("C", 2), ("K", 2), ("B", 2)]])
+        assert reference_walk(arch, wl, mapping)[0].dump_lines() == HAND_TRACED_2X2X2
+        assert_walks_like_the_reference(arch, wl, mapping)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(nests())
+    def test_generated_nests(self, nest):
+        arch, wl, mapping, _ = nest
+        assert_walks_like_the_reference(arch, wl, mapping)
