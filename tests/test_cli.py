@@ -106,6 +106,26 @@ class TestAnalyze:
             assert code == 1 and "Traceback" not in err
             assert f"ai_profile levels must be exactly 1..3: {named}" in err
 
+    def test_imc_transform_refuses_the_mapping_reload_cost(self, tmp_path, capsys):
+        # the macro sets the reload cost; the mapping's own is not dropped silently
+        mapping = json.loads(fixture_path("imc256.map").read_text())
+        mapping.update(pinned_operand="W", reload_cycles_per_tile=5)
+        (tmp_path / "reload.map").write_text(json.dumps(mapping))
+        data = json.loads(fixture_path("imc256.scenario").read_text())
+        data["mapping"] = str(tmp_path / "reload.map")
+        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert "reload_cycles_per_tile 5" in err
+
+    def test_mapping_and_ai_profile_together_is_a_parse_error(self, tmp_path, capsys):
+        data = json.loads(fixture_path("gemm_dense.scenario").read_text())
+        data["ai_profile"] = {"1": 1000.0, "2": 1000.0, "3": 1000.0}
+        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "scenario.ai_profile: not allowed with 'mapping'" in err
+
     def test_all_zero_energy_is_an_error_naming_the_fields(self, tmp_path, capsys):
         arch = json.loads(fixture_path("fig3.arch").read_text())
         arch["array"]["energy_per_op"] = 0
@@ -320,26 +340,6 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err
         assert "mapping.pinned_operand: expected a string" in err
-
-    def test_imc_transform_refuses_the_mapping_reload_cost(self, tmp_path, capsys):
-        # the macro sets the reload cost; the mapping's own is not dropped silently
-        mapping = json.loads(fixture_path("imc256.map").read_text())
-        mapping.update(pinned_operand="W", reload_cycles_per_tile=5)
-        (tmp_path / "reload.map").write_text(json.dumps(mapping))
-        data = json.loads(fixture_path("imc256.scenario").read_text())
-        data["mapping"] = str(tmp_path / "reload.map")
-        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
-        err = capsys.readouterr().err
-        assert code == 1 and "Traceback" not in err
-        assert "reload_cycles_per_tile 5" in err
-
-    def test_mapping_and_ai_profile_together_is_a_parse_error(self, tmp_path, capsys):
-        data = json.loads(fixture_path("gemm_dense.scenario").read_text())
-        data["ai_profile"] = {"1": 1000.0, "2": 1000.0, "3": 1000.0}
-        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
-        err = capsys.readouterr().err
-        assert code == 2 and "Traceback" not in err
-        assert "scenario.ai_profile: not allowed with 'mapping'" in err
 
     def test_weight_precision_sweep_doubles_plateau(self):
         code, out = run(
