@@ -8,7 +8,6 @@ from .analysis import (
     AnalysisResult,
     analyze_intensities,
     analyze_mapping,
-    operating_point,
 )
 from .mapping import (
     AccessProfile,

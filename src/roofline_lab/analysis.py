@@ -10,8 +10,8 @@ intensities (no mapping, ideal utilization), which is how roofline
 positions are studied before a mapping exists.  The cost stage, one
 private evaluator, prices that record: both roofs, task energy and
 latency, utilization and the point.  ``analyze_mapping`` and
-``analyze_intensities`` run both stages; ``operating_point`` is the
-point of ``analyze_mapping``.
+``analyze_intensities`` run both stages; the attained point of a
+mapping is ``analyze_mapping(...).point``, at or below both roofs.
 
 Per-level AI is the effective op count over the bytes moved.  Under
 sparsity that is surviving ops over compressed bytes, since only MACs
@@ -80,13 +80,6 @@ class AnalysisResult(NamedTuple):
     point: OperatingPoint
     throughput_curve: ThroughputRoofline
     energy_curve: EnergyRoofline
-
-    @property
-    def bottleneck(self) -> str:
-        return (
-            f"throughput {self.point.throughput_bound}; "
-            f"energy {self.point.energy_bound}"
-        )
 
 
 def mapped_traffic(
@@ -209,16 +202,3 @@ def analyze_intensities(
     spatial and core utilization and the ideal latency."""
     return _evaluate(intensity_traffic(arch, wl, ai_per_level), label, ref_level, overlap)
 
-
-def operating_point(
-    arch: ArchSpec,
-    wl: WorkloadSpec,
-    mapping: MappingSpec,
-    ref_level: int | None = None,
-    overlap: str | None = None,
-) -> OperatingPoint:
-    """Attained (AI, throughput, efficiency) of a mapped workload and
-    its position against both ceilings.  The attained point can only
-    fall below the roofs; equality holds for a perfectly utilized
-    mapping."""
-    return analyze_mapping(arch, wl, mapping, ref_level=ref_level, overlap=overlap).point

@@ -102,19 +102,18 @@ class AccessProfile(Record):
 
     ``traffic[(level, operand)]`` describes the crossings of the
     boundary between that level and the one below it; ``n_bytes[level]``
-    is the summed byte count N_Li used by the roofline equations.
+    is the summed byte count N_Li used by the roofline equations.  It
+    holds counts only: N_op is the workload's, and the resident operand
+    per level is ``derive_stationarity``'s.
     """
 
-    _fields = ("n_op", "levels", "traffic", "stationary")
+    _fields = ("levels", "traffic")
     __slots__ = _fields + ("__dict__",)  # n_bytes is cached there
 
-    def __init__(self, n_op: int, levels: tuple[int, ...],
-                 traffic: dict[tuple[int, str], OperandTraffic],
-                 stationary: dict[int, str | None]):
-        _set(self, "n_op", n_op)
+    def __init__(self, levels: tuple[int, ...],
+                 traffic: dict[tuple[int, str], OperandTraffic]):
         _set(self, "levels", levels)
         _set(self, "traffic", traffic)
-        _set(self, "stationary", stationary)
 
     @cached_property
     def n_bytes(self) -> dict[int, float]:
@@ -135,7 +134,7 @@ class AccessProfile(Record):
             )
             for key, t in self.traffic.items()
         }
-        return AccessProfile(self.n_op, self.levels, new, dict(self.stationary))
+        return AccessProfile(self.levels, new)
 
     @classmethod
     def from_intensities(
@@ -151,8 +150,7 @@ class AccessProfile(Record):
             (li, "all"): OperandTraffic(1, 1, n_op / ai, 1)
             for li, ai in ai_per_level.items()
         }
-        levels = tuple(sorted(ai_per_level))
-        return cls(n_op, levels, traffic, {li: None for li in levels})
+        return cls(tuple(sorted(ai_per_level)), traffic)
 
 
 class Utilization(NamedTuple):
@@ -238,12 +236,7 @@ def count_accesses(
                 bpe = 0.0
             traffic[(li, op.name)] = OperandTraffic(events, elements, bpe, factor)
 
-    return AccessProfile(
-        n_op=wl.n_op,
-        levels=tuple(levels),
-        traffic=traffic,
-        stationary=derive_stationarity(wl, mapping),
-    )
+    return AccessProfile(tuple(levels), traffic)
 
 
 def spatial_utilization(arch: ArchSpec, mapping: MappingSpec) -> float:
@@ -357,17 +350,17 @@ def utilization(
     wl: WorkloadSpec,
     mapping: MappingSpec,
     profile: AccessProfile,
-    overlap: str | None = None,
     latency: LatencyResult | None = None,
 ) -> Utilization:
     """Spatial x temporal x core utilization of the mapped workload.
 
     Temporal utilization is the limiting term's share of the task
-    latency (``latency``, else ``task_latency`` of this mapping): what
-    serialized transfers and reloads add on top of it is stall time.
+    latency (``latency``, else ``task_latency`` of this mapping in the
+    architecture's mode): what serialized transfers and reloads add on
+    top of it is stall time.
     """
     if latency is None:
-        latency = task_latency(arch, wl, profile, overlap, mapping)
+        latency = task_latency(arch, wl, profile, mapping=mapping)
     return Utilization(
         spatial=spatial_utilization(arch, mapping),
         temporal=latency.limiting_cycles / latency.cycles,

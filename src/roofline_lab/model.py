@@ -387,6 +387,9 @@ def arch_violations(arch: ArchSpec) -> list[str]:
     indices = [lvl.level_index for lvl in arch.levels]
     if indices != list(range(1, len(indices) + 1)):
         v.append(f"level indices must run 1..{len(indices)} contiguously (got {indices})")
+    names = [lvl.name for lvl in arch.levels]
+    if len(set(names)) != len(names):
+        v.append(f"duplicate level names in architecture: {names}")
     if arch.clock <= 0:
         v.append(f"clock must be > 0 (got {arch.clock})")
     if arch.array.energy_per_op < 0:

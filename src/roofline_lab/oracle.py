@@ -161,11 +161,14 @@ class _Walk:
         }
 
         self.n_tiles = len(tiles)
-        self.tile_steps = [steps] * len(tiles)
+        self.tile_steps = steps  # alike in every tile
         self.tile_event_counts = {
             (b, name): per_tile[depth] for (name, b), depth in zip(self.watchers, depths)
         }
-        self.events = {key: sum(c) for key, c in self.tile_event_counts.items()}
+        totals = {depth: sum(c) for depth, c in per_tile.items()}
+        self.events = {
+            (b, name): totals[depth] for (name, b), depth in zip(self.watchers, depths)
+        }
         self.revisited = {
             (b, name): revisits[pos] for (name, b), pos in zip(self.watchers, self.positions)
         }
@@ -254,7 +257,7 @@ def simulate_cycles(
     passes = fold_passes(arch, mapping)
 
     # per-tile loads, summed per level in watcher order
-    compute_steps = [s * passes for s in walk.tile_steps]
+    tile_compute = walk.tile_steps * passes
     level_bytes: dict[int, list[float]] = {
         b: [0.0] * n_tiles for b in walk.boundaries
     }
@@ -263,7 +266,7 @@ def simulate_cycles(
         level_bytes[b] = list(map(add, level_bytes[b],
                                   map(mul, counts, repeat(per_event[key]))))
 
-    busy: dict[str, float] = {"compute": float(sum(compute_steps))}
+    busy: dict[str, float] = {"compute": float(tile_compute * n_tiles)}
     for b in walk.boundaries:
         busy[arch.level(b).name] = sum(level_bytes[b]) / arch.level(b).bandwidth
 
@@ -279,7 +282,7 @@ def simulate_cycles(
     ready = [accumulate(map(truediv, level_bytes[b], repeat(arch.level(b).bandwidth)))
              for b in walk.boundaries[1:]]
     data_ready = map(max, zip(*ready)) if ready else repeat(0.0)
-    stages = map(max, map(float, compute_steps),
+    stages = map(max, repeat(float(tile_compute)),
                  map(truediv, level_bytes[1], repeat(arch.level(1).bandwidth)))
     finish = 0.0
     for data, stage in zip(data_ready, stages):

@@ -182,7 +182,7 @@ def render_text(r: AnalysisResult) -> str:
     for ai, label in r.throughput_curve.knees:
         lines.append(f"throughput knee: AI_ref {_g(ai)} (limited by {label})")
     lines.append(f"energy asymptote: {_g(r.energy_curve.asymptote)} ops/pJ")
-    lines.append(f"bound: {r.bottleneck}")
+    lines.append(f"bound: throughput {p.throughput_bound}; energy {p.energy_bound}")
     return "\n".join(lines) + "\n"
 
 

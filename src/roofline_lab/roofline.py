@@ -26,14 +26,16 @@ alone:
     throughput  P_TP(ai) = min_i(r_i * ai * B_Li, cores * A_op)   ops/cycle
     efficiency  P_E(ai)  = 1 / (E_op + sum_i E_Li / (r_i*ai))     ops/pJ
 
-where the L1 slope also counts the active cores.  The throughput roof
-has a sharp knee where the slowest memory slope meets the compute
-plateau; the energy roof bends smoothly and asymptotes at 1/E_op
-(ops/pJ, numerically equal to TOPS/W).  Curves are kept in ops/cycle
-and ops/pJ internally; seconds appear only at the reporting boundary.
-Charts draw each roof through vertices taken from its closed form:
-the throughput roof's ends and knee, and the energy roof bisected in
-log-log space to within CHORD_TOL_DECADES.
+where the L1 slope also counts the active cores.  Each roof keys its
+slopes or terms by level name, in level order, and its knee and bound
+labels are those keys.  The throughput roof has a sharp knee where the
+slowest memory slope meets the compute plateau; the energy roof bends
+smoothly and asymptotes at 1/E_op (ops/pJ, numerically equal to
+TOPS/W).  Curves are kept in ops/cycle and ops/pJ internally; seconds
+appear only at the reporting boundary.  Charts draw each roof through
+vertices taken from its closed form: the throughput roof's ends and
+knee, and the energy roof bisected in log-log space to within
+CHORD_TOL_DECADES.
 """
 
 from __future__ import annotations
@@ -58,24 +60,22 @@ CHORD_TOL_DECADES = 1e-3  # energy polyline vs its roof, log-log
 class RooflineCurve(Record):
     """A closed-form ceiling with its break points.
 
-    ``kind`` is "throughput" (ops/cycle) or "energy" (ops/pJ).
+    Each subclass fixes ``kind``: "throughput" (ops/cycle) or "energy"
+    (ops/pJ), and keys its per-level dict by level name, in level order.
     ``knees`` carries (ai_ref, label): for the throughput roof the
     single memory-to-compute transition labelled with the limiting
     level; for the energy roof the per-level AI where that level's
     energy share drops to the compute share.
     """
 
-    _fields = ("kind", "knees", "asymptote")
+    kind: str
+    _fields = ("knees", "asymptote")
     __slots__ = _fields + ("__dict__",)  # samples is cached there
 
-    def __init__(self, kind: str, knees: tuple[tuple[float, str], ...],
+    def __init__(self, knees: tuple[tuple[float, str], ...],
                  asymptote: float):  # plateau ops/cycle, or 1/E_op ops/pJ
-        _set(self, "kind", kind)
         _set(self, "knees", knees)
         _set(self, "asymptote", asymptote)
-
-    def value_at(self, ai_ref: float) -> float:
-        raise NotImplementedError
 
     @cached_property
     def samples(self) -> tuple[tuple[float, float], ...]:
@@ -90,16 +90,14 @@ class RooflineCurve(Record):
 
 
 class ThroughputRoofline(RooflineCurve):
-    __slots__ = ("slopes", "level_names")
+    kind = "throughput"
+    __slots__ = ("slopes",)
     _fields = RooflineCurve._fields + __slots__
 
-    def __init__(self, kind: str, knees: tuple[tuple[float, str], ...],
-                 asymptote: float,
-                 slopes: dict[int, float],  # r_i * B_Li
-                 level_names: dict[int, str]):
-        RooflineCurve.__init__(self, kind, knees, asymptote)
+    def __init__(self, knees: tuple[tuple[float, str], ...], asymptote: float,
+                 slopes: dict[str, float]):  # r_i * B_Li
+        RooflineCurve.__init__(self, knees, asymptote)
         _set(self, "slopes", slopes)
-        _set(self, "level_names", level_names)
 
     def value_at(self, ai_ref: float) -> float:
         if not self.slopes:
@@ -111,26 +109,25 @@ class ThroughputRoofline(RooflineCurve):
         return tuple((ai, self.value_at(ai)) for ai in ais)
 
     def bound_at(self, ai_ref: float) -> str:
+        """The smallest slope limits; a tie goes to the first key, nearest the array."""
         if not self.slopes:
             return "compute-bound"
-        level, slope = min(self.slopes.items(), key=lambda kv: kv[1])
-        if slope * ai_ref < self.asymptote:
-            return f"memory-bound({self.level_names[level]})"
+        level = min(self.slopes, key=self.slopes.get)
+        if self.slopes[level] * ai_ref < self.asymptote:
+            return f"memory-bound({level})"
         return "compute-bound"
 
 
 class EnergyRoofline(RooflineCurve):
-    __slots__ = ("e_op", "terms", "level_names")
+    kind = "energy"
+    __slots__ = ("e_op", "terms")
     _fields = RooflineCurve._fields + __slots__
 
-    def __init__(self, kind: str, knees: tuple[tuple[float, str], ...],
-                 asymptote: float, e_op: float,
-                 terms: dict[int, float],  # E_Li / r_i
-                 level_names: dict[int, str]):
-        RooflineCurve.__init__(self, kind, knees, asymptote)
+    def __init__(self, knees: tuple[tuple[float, str], ...], asymptote: float,
+                 e_op: float, terms: dict[str, float]):  # E_Li / r_i
+        RooflineCurve.__init__(self, knees, asymptote)
         _set(self, "e_op", e_op)
         _set(self, "terms", terms)
-        _set(self, "level_names", level_names)
 
     def value_at(self, ai_ref: float) -> float:
         return 1.0 / (self.e_op + sum([t / ai_ref for t in self.terms.values()]))
@@ -157,9 +154,9 @@ class EnergyRoofline(RooflineCurve):
         return sum(t / ai_ref for t in self.terms.values())
 
     def bound_at(self, ai_ref: float) -> str:
+        """The largest term limits; a tie goes to the first key, nearest the array."""
         if self.memory_share(ai_ref) > self.e_op:
-            level = max(self.terms.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-            return f"memory-bound({self.level_names[level]})"
+            return f"memory-bound({max(self.terms, key=self.terms.get)})"
         return "compute-bound"
 
 
@@ -195,22 +192,16 @@ def throughput_roofline(
     l1_share = active_cores(mapping) if mapping is not None else 1
     plateau = float(arch.array.a_op) * cores
     slopes = {
-        lvl.level_index: ai_ratios[lvl.level_index] * lvl.bandwidth
+        lvl.name: ai_ratios[lvl.level_index] * lvl.bandwidth
         * (l1_share if lvl.level_index == 1 else 1)
         for lvl in arch.levels
         if math.isfinite(ai_ratios[lvl.level_index])
     }
     knees = []
     if slopes:
-        limit_level, limit_slope = min(slopes.items(), key=lambda kv: kv[1])
-        knees.append((plateau / limit_slope, arch.level(limit_level).name))
-    return ThroughputRoofline(
-        kind="throughput",
-        knees=tuple(knees),
-        asymptote=plateau,
-        slopes=slopes,
-        level_names={lvl.level_index: lvl.name for lvl in arch.levels},
-    )
+        limit = min(slopes, key=slopes.get)
+        knees.append((plateau / slopes[limit], limit))
+    return ThroughputRoofline(knees=tuple(knees), asymptote=plateau, slopes=slopes)
 
 
 def energy_roofline(arch: ArchSpec, ai_ratios: dict[int, float]) -> EnergyRoofline:
@@ -226,18 +217,16 @@ def energy_roofline(arch: ArchSpec, ai_ratios: dict[int, float]) -> EnergyRoofli
             f"({', '.join(lvl.name for lvl in arch.levels)}) are all 0: "
             "ops/pJ and the energy roof are undefined")
     terms = {
-        lvl.level_index: lvl.energy_per_byte / ai_ratios[lvl.level_index]
+        lvl.name: lvl.energy_per_byte / ai_ratios[lvl.level_index]
         for lvl in arch.levels
         if math.isfinite(ai_ratios[lvl.level_index]) and lvl.energy_per_byte > 0
     }
     knees = []
     if e_op > 0:
-        knees = [(term / e_op, arch.level(li).name) for li, term in terms.items()]
+        knees = [(term / e_op, name) for name, term in terms.items()]
     return EnergyRoofline(
-        kind="energy",
         knees=tuple(sorted(knees)),
         asymptote=(1.0 / e_op if e_op > 0 else math.inf),
         e_op=e_op,
         terms=terms,
-        level_names={lvl.level_index: lvl.name for lvl in arch.levels},
     )

@@ -60,7 +60,7 @@ def test_criterion_1_reference_rooflines(fig3_arch):
         tp = throughput_roofline(fig3_arch, REF_RATIOS)
         # the innermost level owns the whole memory-bound region:
         # slopes are 8 < 32 < 128 ops/cycle per unit AI
-        assert min(tp.slopes, key=tp.slopes.get) == 1
+        assert min(tp.slopes, key=tp.slopes.get) == "L1"
         for ai in (0.5, 4.0, 64.0, 255.0):
             assert tp.bound_at(ai) == "memory-bound(L1)"
         assert len(tp.knees) == 1

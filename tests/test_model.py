@@ -119,6 +119,18 @@ def test_duplicate_operand_names_are_a_violation():
         "duplicate operand names in workload: ['W', 'W', 'O']"]
 
 
+def test_duplicate_level_names_are_a_violation():
+    # the roofs and the latency terms are keyed by level name: the
+    # second X would stand in for the first, which limits here
+    arch = make_arch([(1, 0.1), (64, 1.0)])
+    arch = arch._replace(levels=tuple(lvl._replace(name="X") for lvl in arch.levels))
+    wl, mapping = gemm(4, 4, 4), plain_mapping([[("C", 4), ("B", 4), ("K", 4)], []])
+    assert validate(arch, wl, mapping) == [
+        "duplicate level names in architecture: ['X', 'X']"]
+    with pytest.raises(InvalidMappingError, match="duplicate level names"):
+        analyze_mapping(arch, wl, mapping)
+
+
 def test_a_relevant_dim_listed_twice_is_a_violation():
     # tile_elements would multiply the C extent in twice
     assert validate(*_one_level_gemm(relevant_dims=("B", "C", "C"))) == [
@@ -298,8 +310,8 @@ RECORDS = [
     (WorkloadSpec, lambda: _tiny()[1], "name", "other"),
     (SpatialUnroll, lambda: unroll("row", "C", 4), "factor", 2),
     (MappingSpec, lambda: _tiny()[2]._replace(cores=2, core_split=("B", 2)), "cores", 4),
-    (AccessProfile, lambda: count_accesses(*_tiny()), "n_op", 128),
-    (RooflineCurve, lambda: RooflineCurve("throughput", ((1.0, "L1"),), 4.0),
+    (AccessProfile, lambda: count_accesses(*_tiny()), "levels", (1,)),
+    (RooflineCurve, lambda: RooflineCurve(((1.0, "L1"),), 4.0),
      "asymptote", 8.0),
     (ThroughputRoofline, lambda: throughput_roofline(_tiny()[0], RATIOS), "asymptote", 1.0),
     (EnergyRoofline, lambda: energy_roofline(_tiny()[0], RATIOS), "e_op", 1.0),

@@ -14,7 +14,6 @@ from roofline_lab import (
     analyze_intensities,
     analyze_mapping,
     energy_roofline,
-    operating_point,
     task_energy,
     task_latency,
     throughput_roofline,
@@ -53,10 +52,7 @@ class TestTaskEnergy:
         from roofline_lab import OperandTraffic
 
         profile = AccessProfile(
-            2048, (1, 2, 3),
-            {(li, "all"): OperandTraffic(0, 0, 0.0, 1) for li in (1, 2, 3)},
-            {},
-        )
+            (1, 2, 3), {(li, "all"): OperandTraffic(0, 0, 0.0, 1) for li in (1, 2, 3)})
         assert task_energy(fig3_arch, ref_workload, profile) == 2048 * 0.5
 
     def test_memory_term_is_linear_in_traffic(self, fig3_arch, ref_workload,
@@ -306,7 +302,7 @@ class TestOperatingPoint:
             spatial=(unroll("row", "C", 8), unroll("col", "K", 8)),
             temporal=((("B", 8),), (("B", 8),)),
         )
-        point = operating_point(arch, wl, mapping)
+        point = analyze_mapping(arch, wl, mapping).point
         assert point.ops_per_cycle == pytest.approx(
             point.throughput_ceiling, rel=1e-9
         )
@@ -321,7 +317,7 @@ class TestOperatingPoint:
             spatial=(unroll("row", "C", 8), unroll("col", "K", 8)),
             temporal=((("B", 8),), (("B", 8),)),
         )
-        point = operating_point(arch, wl, mapping)
+        point = analyze_mapping(arch, wl, mapping).point
         assert point.ops_per_cycle < point.throughput_ceiling * (1 - 1e-9)
 
     def test_half_filled_array_attains_half_the_ceiling(self):
@@ -338,7 +334,7 @@ class TestOperatingPoint:
             pinned_operand="W",
             reload_cycles_per_tile=None,  # overlapped reload
         )
-        point = operating_point(arch, wl, mapping)
+        point = analyze_mapping(arch, wl, mapping).point
         assert point.ops_per_cycle == 0.5 * point.throughput_ceiling
 
     def test_core_split_compute_bound_point_sits_on_the_cores_plateau(self):
@@ -355,7 +351,7 @@ class TestOperatingPoint:
             [[("C", 2), ("B", 4)], [("B", 4)], []],
             spatial=[unroll("row", "C", 4), unroll("col", "K", 8)],
         )
-        point = operating_point(fig3_arch, wl, mapping)
+        point = analyze_mapping(fig3_arch, wl, mapping).point
         assert point.ops_per_cycle <= point.throughput_ceiling * (1 + 1e-9)
         assert point.attained_efficiency <= point.efficiency_ceiling * (1 + 1e-9)
 
@@ -426,8 +422,6 @@ class TestOneLatencyModel:
         assert r.utilization.temporal == pytest.approx(limiting / lat.cycles, rel=1e-12)
         assert lat.mode == ("serialized" if case.endswith("serialized") else "overlapped")
         assert p.ai_ref == r.ai[p.ref_level]
-        if r.mapping is not None and r.effective_ops == r.workload.n_op:  # dense mapped
-            assert operating_point(r.arch, r.workload, r.mapping, p.ref_level, lat.mode) == p
 
     def test_serialized_gemm_dense_temporal_utilization(self):
         r = report.run_scenario(_scenario("gemm_dense"), "serialized")
@@ -462,7 +456,42 @@ def roofs(draw):
                            for li, (_, e) in enumerate(levels, 1)))
     dims = (("row", draw(st.integers(1, 64))), ("col", draw(st.integers(1, 64))))
     arch = make_arch(levels, dims=dims, e_op=e_op)
-    return throughput_roofline(arch, ratios), energy_roofline(arch, ratios)
+    return arch, throughput_roofline(arch, ratios), energy_roofline(arch, ratios)
+
+
+def _named(arch, *names):
+    return arch._replace(levels=tuple(
+        lvl._replace(name=name) for lvl, name in zip(arch.levels, names)))
+
+
+class TestBoundLabels:
+    """Knee and bound labels name a level of the architecture; on a tie
+    the level nearer the array wins.  The nearer level's name sorts
+    last here, so neither name order nor dict order alone can pass."""
+
+    def test_tied_slopes_name_the_nearer_level(self):
+        arch = _named(make_arch([(32, 0.1), (32, 1.0)]), "Z", "A")
+        curve = throughput_roofline(arch, {1: 1.0, 2: 1.0})
+        assert curve.knees == ((arch.array.a_op / 32, "Z"),)
+        assert curve.bound_at(0.01) == "memory-bound(Z)"
+
+    def test_tied_energy_terms_name_the_nearer_level(self):
+        arch = _named(make_arch([(128, 1.0), (32, 1.0)]), "Z", "A")
+        curve = energy_roofline(arch, {1: 1.0, 2: 1.0})
+        assert curve.bound_at(1.0) == "memory-bound(Z)"
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(roofs())
+    def test_generated_labels_name_a_level(self, case):
+        arch, *pair = case
+        names = {lvl.name for lvl in arch.levels}
+        for curve in pair:
+            assert {label for _, label in curve.knees} <= names
+            for ai, _ in curve.samples:
+                bound = curve.bound_at(ai)
+                assert bound == "compute-bound" or (
+                    bound.startswith("memory-bound(") and bound.endswith(")")
+                    and bound[len("memory-bound("):-1] in names), bound
 
 
 class TestChartVertices:
@@ -481,6 +510,6 @@ class TestChartVertices:
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(roofs())
-    def test_generated_roofs(self, pair):
-        for curve in pair:
+    def test_generated_roofs(self, case):
+        for curve in case[1:]:
             assert_chart_vertices(curve)
