@@ -60,7 +60,7 @@ def write_corpus(out: Path) -> None:
 
 def test_outputs_match_the_golden_corpus(tmp_path):
     write_corpus(tmp_path)
-    expected = sorted(p.name for p in GOLDEN.iterdir() if p.is_file())  # demos/: test_demos
+    expected = sorted(p.name for p in GOLDEN.iterdir() if p.is_file())  # demos/ is test_demos.py's
     produced = sorted(p.name for p in tmp_path.iterdir())
     assert produced == expected
     differing = [name for name in expected
