@@ -1,5 +1,4 @@
-"""Strict JSON ingestion and emission for arch / workload / mapping /
-scenario files.
+"""Strict JSON ingestion of arch / workload / mapping / scenario files.
 
 One format for everything: JSON, fixed field names, fixed units
 (bytes/cycle, pJ/byte, pJ/op, Hz - values carry no unit suffixes).
@@ -8,14 +7,14 @@ sanity (positive bandwidth, nonzero sizes) is checked at parse time so
 a bad file is reported with the offending field, not three calls later.
 
 Every record a file holds is described once, by a ``Table`` of fields
-``(json key, attribute, kind, default, bound)``.  ``_read`` builds a
-record from its table and ``_to_dict`` writes one back through it.  A
-kind is the function that reads one JSON value; ``bound`` is what that
-kind checks beyond the type (each kind says what its bound means).  A
-field whose default is ``REQUIRED`` must be present; one whose default
-is ``None`` may also be ``null``.  Names that refer to another file's
-names (a dim, an axis, an operand) are resolved by ``model.validate``
-and the transforms, once every file is read.
+``(json key, attribute, kind, default, bound)``, from which ``_read``
+builds the record.  A kind is the function that reads one JSON value;
+``bound`` is what that kind checks beyond the type (each kind says what
+its bound means).  A field whose default is ``REQUIRED`` must be
+present; one whose default is ``None`` may also be ``null``.  Names
+that refer to another file's names (a dim, an axis, an operand) are
+resolved by ``model.validate`` and the transforms, once every file is
+read.
 """
 
 from __future__ import annotations
@@ -134,23 +133,6 @@ def _read(path: str | Path, where: str, data: Any, table: Table) -> Any:
     if not table.keys.issuperset(data):
         raise ParseError(path, where, f"unknown keys: {sorted(data.keys() - table.keys)}")
     return table.cls(*values)
-
-
-def _to_dict(record: Any, table: Table) -> dict:
-    """The JSON object of ``record``, field by field through ``table``."""
-    return {f.key: _dump(getattr(record, f.attr), f.kind, f.bound) for f in table.fields}
-
-
-def _dump(val: Any, kind: Any, bound: Any) -> Any:
-    """One field's JSON value; every tuple becomes a list, as JSON reads
-    it back."""
-    if kind is _read:
-        return _to_dict(val, bound)
-    if kind is _records:
-        return [_to_dict(v, bound) for v in val]
-    if kind is _loop_dims:
-        return [[d.name, d.size] for d in val]
-    return [_dump(v, None, None) for v in val] if type(val) is tuple else val
 
 
 # ---------------------------------------------------------------------------
@@ -438,22 +420,6 @@ def parse_scenario(path: str | Path) -> Scenario:
                          f"not allowed with 'mapping' ({scenario.mapping_path}): "
                          "give one source of traffic")
     return scenario
-
-
-def arch_to_dict(arch: ArchSpec) -> dict:
-    return _to_dict(arch, ARCH)
-
-
-def workload_to_dict(wl: WorkloadSpec) -> dict:
-    return _to_dict(wl, WORKLOAD)
-
-
-def mapping_to_dict(mapping: MappingSpec) -> dict:
-    return _to_dict(mapping, MAPPING)
-
-
-def emit_json(data: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def fixture_path(name: str) -> Path:

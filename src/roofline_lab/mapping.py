@@ -39,7 +39,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .model import (
+    COMPUTE,
     OUTPUT,
+    RELOAD,
     SERIALIZED,
     ArchSpec,
     MappingSpec,
@@ -52,9 +54,6 @@ from .model import (
 )
 
 Loop = tuple[str, int]  # (dim name, trip count)
-
-COMPUTE = "compute"
-RELOAD = "reload"
 
 
 def fetch_events(loops_inner_first: tuple[Loop, ...], relevant: frozenset[str]) -> int:

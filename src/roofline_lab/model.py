@@ -27,6 +27,10 @@ OUTPUT = "output"
 OVERLAPPED = "overlapped"
 SERIALIZED = "serialized"
 
+# latency terms keyed like the levels' own, so no level may take these names
+COMPUTE = "compute"
+RELOAD = "reload"
+
 # Accumulators default to 4x the declared element width, capped at 32 bits:
 # partial sums need the extra headroom, full words rarely more.
 ACCUM_WIDTH_FACTOR = 4
@@ -263,13 +267,6 @@ class WorkloadSpec(Record):
                 return op
         raise KeyError(f"no operand named {name!r}")
 
-    @property
-    def output(self) -> OperandSpec:
-        for op in self.operands:
-            if op.role == OUTPUT:
-                return op
-        raise KeyError("workload has no output-like operand")
-
 
 class SpatialUnroll(Record):
     """One parallel (parfor) assignment: dim unrolled on an array axis."""
@@ -382,6 +379,8 @@ def arch_violations(arch: ArchSpec) -> list[str]:
             v.append(f"level {lvl.name}: energy_per_byte must be >= 0")
         if lvl.capacity is not None and lvl.capacity <= 0:
             v.append(f"level {lvl.name}: capacity must be > 0 when bounded")
+        if lvl.name in (COMPUTE, RELOAD):
+            v.append(f"level {lvl.name}: the name is reserved for a latency term")
     if not arch.levels:
         v.append("architecture needs at least one memory level")
     indices = [lvl.level_index for lvl in arch.levels]

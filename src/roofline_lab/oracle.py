@@ -33,7 +33,7 @@ desk-scale oracle, not a simulator.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain, compress, count, product, repeat, tee
+from itertools import accumulate, chain, product, repeat, tee
 from operator import add, itemgetter, mul, ne, truediv
 from typing import NamedTuple
 
@@ -54,27 +54,12 @@ class IterationCapExceeded(ValueError):
     pass
 
 
-class TraceRecord(NamedTuple):
-    cycle: int
-    level: int
-    operand: str
-    bytes: float
-
-
 class EnumerationTrace(NamedTuple):
-    """Counted accesses per (boundary level, operand), plus optional
-    per-event records for dumping."""
+    """Counted accesses per (boundary level, operand)."""
 
     events: dict[tuple[int, str], int]
     bytes: dict[tuple[int, str], float]
     revisited: dict[tuple[int, str], bool]
-    records: tuple[TraceRecord, ...] = ()
-
-    def dump_lines(self) -> list[str]:
-        """One text record per event: ``cycle,level,operand,bytes``."""
-        return [
-            f"{r.cycle},{r.level},{r.operand},{r.bytes:g}" for r in self.records
-        ]
 
 
 class CycleSimResult(NamedTuple):
@@ -105,18 +90,17 @@ class _Walk:
     """Shared literal walk over the temporal nest, one L1 tile at a time."""
 
     def __init__(self, arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec,
-                 cap: int, record: bool = False):
+                 cap: int):
         self.extents = valid_tile_extents(arch, wl, mapping)  # for event_bytes
         nest = mapping.nest(arch.n_levels)
-        self.space = math.prod(t for _, _, t in nest)
-        if self.space > cap:
+        space = math.prod(t for _, _, t in nest)
+        if space > cap:
             raise IterationCapExceeded(
-                f"temporal iteration space {self.space} exceeds oracle cap {cap}"
+                f"temporal iteration space {space} exceeds oracle cap {cap}"
             )
         self.wl = wl
         self.mapping = mapping
         self.boundaries = list(range(1, arch.n_levels + 1))
-        self.record = record
         # outermost level's loops outermost; spatial runs as one parallel
         # step.  Only loops with trip > 1 ever move, so counter j is the
         # j-th moving loop, outermost first.  The loops at levels >= 2
@@ -135,8 +119,8 @@ class _Walk:
                 self.positions.append(tuple(j for j, lv in rel if lv >= b))
 
     def run(self) -> None:
-        """Enumerate every watcher's fetch states, setting the per-event
-        and per-tile counts."""
+        """Enumerate every watcher's fetch states, setting the event
+        counts, in total and per tile."""
         ranges, n_outer = self.ranges, self.n_outer
         tiles = list(product(*ranges[:n_outer]))  # one state per L1 tile
         inner = ranges[n_outer:]  # the counters that move inside one tile
@@ -172,22 +156,6 @@ class _Walk:
         self.revisited = {
             (b, name): revisits[pos] for (name, b), pos in zip(self.watchers, self.positions)
         }
-        self._record_pending = []
-        if self.record:
-            starts = range(0, self.space, steps)
-            pending: list[tuple[int, int]] = []
-            for w, depth in enumerate(depths):
-                if depth <= n_outer:
-                    cycles = compress(starts, per_tile[depth])
-                else:
-                    offsets = list(compress(
-                        count(), _moved(product(*inner), depth - n_outer)))
-                    cycles = (start + o for start in starts for o in offsets)
-                pending.extend(zip(cycles, repeat(w)))
-            pending.sort()  # walk order: by cycle, then watcher order
-            self._record_pending = [
-                (cycle, self.watchers[w][1], self.watchers[w][0]) for cycle, w in pending
-            ]
 
     def event_bytes(self) -> dict[tuple[int, str], float]:
         """Bytes per single event, fixed per (boundary, operand)."""
@@ -213,23 +181,17 @@ def enumerate_accesses(
     wl: WorkloadSpec,
     mapping: MappingSpec,
     cap: int = DEFAULT_CAP,
-    record_events: bool = False,
 ) -> EnumerationTrace:
     """Count every boundary crossing by enumerating, per watcher, the
     states of the nest's counters that change its tile."""
-    walk = _Walk(arch, wl, mapping, cap, record=record_events)
+    walk = _Walk(arch, wl, mapping, cap)
     walk.run()
     per_event = walk.event_bytes()
     total_bytes = {key: walk.events[key] * per_event[key] for key in walk.events}
-    records = tuple(
-        TraceRecord(cycle, b, name, per_event[(b, name)])
-        for cycle, b, name in walk._record_pending
-    )
     return EnumerationTrace(
         events=dict(walk.events),
         bytes=total_bytes,
         revisited=dict(walk.revisited),
-        records=records,
     )
 
 

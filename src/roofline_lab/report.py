@@ -122,7 +122,8 @@ def scenario_traffic(loaded: LoadedScenario, count=None) -> Traffic:
 
     if mapping is not None:
         return mapped_traffic(arch, wl, mapping, sparsity, count)
-    assert loaded.ai_profile is not None
+    if loaded.ai_profile is None:
+        raise ValueError("the scenario needs either 'mapping' or 'ai_profile'")
     # an AI profile is placed dense: there is no mapped traffic to rescale
     return intensity_traffic(arch, wl, loaded.ai_profile)
 
@@ -232,6 +233,14 @@ def _input_density(wl: WorkloadSpec, d: float) -> dict[str, float]:
     return {op.name: d for op in wl.operands if op.role == INPUT}
 
 
+def _whole(parameter: str, value: float) -> int:
+    """The value of a knob that counts something; a fraction is an
+    error, not truncated."""
+    if value % 1:  # also true of nan and inf
+        raise SweepParameterError(f"{parameter} takes whole numbers (got {value})")
+    return int(value)
+
+
 def apply_sweep_value(loaded: LoadedScenario, parameter: str,
                       value: float) -> LoadedScenario:
     """A copy of the scenario with one swept knob changed."""
@@ -258,7 +267,7 @@ def apply_sweep_value(loaded: LoadedScenario, parameter: str,
         )
         arch = arch._replace(levels=levels)
     elif parameter == "precision":
-        transforms.append(QuantConfig(precision_bits={"W": int(value)}))
+        transforms.append(QuantConfig(precision_bits={"W": _whole(parameter, value)}))
     elif parameter == "density":
         transforms.append(SparsityConfig(
             mode="unstructured",
@@ -270,13 +279,14 @@ def apply_sweep_value(loaded: LoadedScenario, parameter: str,
                    None)
         if idx is None:
             raise SweepParameterError("P_R sweep needs an IMC transform in the chain")
-        transforms[idx] = transforms[idx]._replace(rows=int(value))
+        transforms[idx] = transforms[idx]._replace(rows=_whole(parameter, value))
     elif parameter.startswith("dim:"):
         axis = parameter[4:]
         if not any(a == axis for a, _ in arch.array.dims):
             raise SweepParameterError(f"no array axis named {axis!r}")
+        size = _whole(parameter, value)
         dims = tuple(
-            (a, int(value)) if a == axis else (a, s) for a, s in arch.array.dims
+            (a, size) if a == axis else (a, s) for a, s in arch.array.dims
         )
         arch = arch._replace(array=arch.array._replace(dims=dims))
     else:

@@ -392,6 +392,20 @@ class TestSweep:
         )
         assert code == 1
 
+    def test_fractional_array_size_fails(self, capsys):
+        code, out = run("sweep", "--scenario", scenario_arg("gemm_dense.scenario"),
+                        "--param", "dim:row", "--values", "4,2.5")
+        err = capsys.readouterr().err
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "dim:row takes whole numbers (got 2.5)" in err
+
+    def test_integral_float_array_size_runs_as_the_integer(self):
+        code, out = run("sweep", "--scenario", scenario_arg("gemm_dense.scenario"),
+                        "--param", "dim:row", "--values", "4.0,2.0")
+        assert (code, out) == run("sweep", "--scenario", scenario_arg("gemm_dense.scenario"),
+                                  "--param", "dim:row", "--values", "4,2")
+        assert code == 0
+
     def test_csv_is_deterministic(self):
         args = ("sweep", "--scenario", scenario_arg("fig3_ai16.scenario"),
                 "--param", "B_L3", "--values", "8,16")

@@ -1,4 +1,4 @@
-"""Input parsing: shipped fixtures, round trips, error reporting."""
+"""Input parsing: shipped fixtures, the field tables, error reporting."""
 
 import json
 import os
@@ -8,15 +8,11 @@ import pytest
 from roofline_lab import validate
 from roofline_lab.config_io import (
     ParseError,
-    arch_to_dict,
-    emit_json,
     fixture_path,
-    mapping_to_dict,
     parse_arch,
     parse_mapping,
     parse_scenario,
     parse_workload,
-    workload_to_dict,
 )
 from roofline_lab.report import load_scenario
 
@@ -45,22 +41,7 @@ class TestShippedFixtures:
         assert scenario.label
 
 
-PARSERS = {".arch": (parse_arch, arch_to_dict), ".wl": (parse_workload, workload_to_dict),
-           ".map": (parse_mapping, mapping_to_dict)}
-SHIPPED = sorted(p.name for p in fixture_path("").iterdir() if p.suffix in PARSERS)
-
-
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", SHIPPED)
-    def test_round_trip(self, tmp_path, name):
-        parse, to_dict = PARSERS[fixture_path(name).suffix]
-        spec = parse(fixture_path(name))
-        if name == "imc256.map":  # and keeps the reload fields
-            spec = spec._replace(pinned_operand="W", reload_cycles_per_tile=256)
-        out = tmp_path / name
-        emit_json(to_dict(spec), out)
-        assert parse(out) == spec
-
     def test_tables_follow_the_constructors(self):
         from roofline_lab import config_io
 

@@ -107,7 +107,7 @@ class TestFetchCounts:
         assert i_traffic.events == 16 and i_traffic.elements_per_event == 256
         assert i_traffic.bytes / cycles == 256.0  # bytes/cycle at 8 bit
         o_traffic = profile.traffic[(1, "O")]
-        acc_bytes = wl.output.accum_bytes_per_element
+        acc_bytes = wl.operand("O").accum_bytes_per_element
         assert o_traffic.bytes / cycles == 256 * acc_bytes
         assert o_traffic.access_factor == 1
         w_traffic = profile.traffic[(1, "W")]
@@ -134,7 +134,7 @@ class TestFetchCounts:
         profile = count_accesses(arch, wl, mapping)
         o1 = profile.traffic[(1, "O")]
         assert o1.access_factor == 2
-        assert o1.bytes_per_element == wl.output.accum_bytes_per_element
+        assert o1.bytes_per_element == wl.operand("O").accum_bytes_per_element
         trace = enumerate_accesses(arch, wl, mapping)
         assert trace.revisited[(1, "O")]
         assert trace.events[(1, "O")] == o1.events

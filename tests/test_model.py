@@ -28,6 +28,7 @@ from roofline_lab import (
     SpatialUnroll,
     ThroughputRoofline,
     WorkloadSpec,
+    analyze_intensities,
     analyze_mapping,
     count_accesses,
     energy_roofline,
@@ -38,9 +39,15 @@ from roofline_lab import (
     throughput_roofline,
     validate,
 )
-from roofline_lab.config_io import Scenario, fixture_path, parse_scenario
+from roofline_lab.config_io import (
+    Scenario,
+    fixture_path,
+    parse_arch,
+    parse_mapping,
+    parse_scenario,
+    parse_workload,
+)
 from roofline_lab.model import Record, tile_elements, tile_extents
-from roofline_lab.oracle import TraceRecord
 from roofline_lab.report import LoadedScenario, load_scenario
 from roofline_lab.transforms import ImcDynamicRange
 
@@ -129,6 +136,24 @@ def test_duplicate_level_names_are_a_violation():
         "duplicate level names in architecture: ['X', 'X']"]
     with pytest.raises(InvalidMappingError, match="duplicate level names"):
         analyze_mapping(arch, wl, mapping)
+
+
+@pytest.mark.parametrize("name", ["compute", "reload"])
+def test_a_level_named_after_a_latency_term_is_a_violation(name):
+    # task_latency keys the levels' terms by name beside its own
+    # "compute" and "reload" terms: an L1 named "compute" at 4 B/cycle
+    # would be taken for the compute term, and the limiter with it
+    arch = parse_arch(fixture_path("fig3.arch"))
+    arch = arch._replace(levels=(arch.level(1)._replace(name=name, bandwidth=4.0),
+                                 *arch.levels[1:]))
+    wl = parse_workload(fixture_path("gemm.wl"))
+    mapping = parse_mapping(fixture_path("os_map.map"))
+    message = f"level {name}: the name is reserved for a latency term"
+    assert validate(arch, wl, mapping) == [message]
+    with pytest.raises(InvalidMappingError, match=message):
+        analyze_mapping(arch, wl, mapping)
+    with pytest.raises(InvalidMappingError, match=message):
+        analyze_intensities(arch, wl, {1: 1.0, 2: 1.0, 3: 1.0})
 
 
 def test_a_relevant_dim_listed_twice_is_a_violation():
@@ -317,7 +342,6 @@ RECORDS = [
     (EnergyRoofline, lambda: energy_roofline(_tiny()[0], RATIOS), "e_op", 1.0),
     (Scenario, _scenario, "label", "other"),
     (LoadedScenario, lambda: load_scenario(_scenario()), "ref_level", 3),
-    (TraceRecord, lambda: TraceRecord(0, 1, "W", 2.0), "cycle", 3),
     (EnumerationTrace, lambda: enumerate_accesses(*_tiny()), "events", {}),
     (CycleSimResult, lambda: simulate_cycles(*_tiny()), "n_tiles", 99),
     (QuantConfig, lambda: QuantConfig(precision_bits={"W": 4}), "block_size", 8),

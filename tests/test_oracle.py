@@ -1,7 +1,7 @@
-"""The enumeration oracle itself: hand-pinned counts and event order,
-determinism, caps, the trace dump format, the cycle simulator, a
-literal iteration-by-iteration reference walk, and generated nests held
-equal to the closed forms."""
+"""The enumeration oracle itself: counts pinned by a hand-traced event
+list, determinism, caps, the cycle simulator, a literal
+iteration-by-iteration reference walk, and generated nests held equal
+to the closed forms."""
 
 import itertools
 import math
@@ -21,7 +21,7 @@ from roofline_lab import (
 )
 from roofline_lab.mapping import fold_passes, output_bytes_per_element
 from roofline_lab.model import OUTPUT, tile_elements, tile_extents
-from roofline_lab.oracle import CycleSimResult, EnumerationTrace, TraceRecord
+from roofline_lab.oracle import CycleSimResult, EnumerationTrace
 
 from conftest import conv7, gemm, make_arch, plain_mapping, unroll
 
@@ -45,6 +45,17 @@ HAND_TRACED_2X2X2 = [
 ]
 
 
+def hand_traced_counts():
+    """The events and bytes per (level, operand) of HAND_TRACED_2X2X2."""
+    events, nbytes = {}, {}
+    for line in HAND_TRACED_2X2X2:
+        _, level, operand, size = line.split(",")
+        key = (int(level), operand)
+        events[key] = events.get(key, 0) + 1
+        nbytes[key] = nbytes.get(key, 0.0) + float(size)
+    return events, nbytes
+
+
 class TestEnumeration:
     def test_hand_traced_2x2x2(self):
         # pinned by tracing the 8-iteration nest b,k,c (c innermost) by
@@ -53,20 +64,28 @@ class TestEnumeration:
         arch = single_level()
         wl = gemm(2, 2, 2)
         mapping = plain_mapping([[("C", 2), ("K", 2), ("B", 2)]])
-        trace = enumerate_accesses(arch, wl, mapping, record_events=True)
+        trace = enumerate_accesses(arch, wl, mapping)
         assert trace.events[(1, "W")] == 8
         assert trace.events[(1, "I")] == 8
         assert trace.events[(1, "O")] == 4
-        assert trace.dump_lines() == HAND_TRACED_2X2X2
+        assert (trace.events, trace.bytes) == hand_traced_counts()
+        # B outermost brings each W tile back, K in the middle each I
+        # tile; an O tile is finished before the next one starts
+        assert trace.revisited == {(1, "W"): True, (1, "I"): True, (1, "O"): False}
 
     def test_trip_one_innermost_loop_changes_nothing(self):
-        # a filler loop of trip 1 never moves, so the walk, its event
-        # order and its cycle numbers are those of the nest without it
+        # a filler loop of trip 1 never moves, so the counts and the
+        # simulated cycles are those of the nest without it
         arch = single_level()
         wl = gemm(2, 2, 2)
         mapping = plain_mapping([[("K", 1), ("C", 2), ("K", 2), ("B", 2)]])
-        trace = enumerate_accesses(arch, wl, mapping, record_events=True)
-        assert trace.dump_lines() == HAND_TRACED_2X2X2
+        without = plain_mapping([[("C", 2), ("K", 2), ("B", 2)]])
+        trace = enumerate_accesses(arch, wl, mapping)
+        assert (trace.events, trace.bytes) == hand_traced_counts()
+        assert trace == enumerate_accesses(arch, wl, without)
+        for overlap in (True, False):
+            assert (simulate_cycles(arch, wl, mapping, overlap=overlap)
+                    == simulate_cycles(arch, wl, without, overlap=overlap))
         assert simulate_cycles(arch, wl, mapping).n_tiles == 1
 
     def test_watcher_without_a_moving_loop_fetches_once(self):
@@ -79,16 +98,17 @@ class TestEnumeration:
             [[("C", 1), ("B", 2)], [("K", 1), ("B", 2)]],
             spatial=(unroll("row", "C", 2), unroll("col", "K", 2)),
         )
-        trace = enumerate_accesses(arch, wl, mapping, record_events=True)
+        trace = enumerate_accesses(arch, wl, mapping)
         for b in (1, 2):
             assert trace.events[(b, "W")] == 1
-            assert [r.cycle for r in trace.records
-                    if r.operand == "W" and r.level == b] == [0]
+            assert trace.bytes[(b, "W")] == 4.0  # the whole 2x2 W, once
+            assert not trace.revisited[(b, "W")]
         assert trace.events[(1, "I")] == trace.events[(1, "O")] == 4
         assert trace.events[(2, "I")] == trace.events[(2, "O")] == 2
         profile = count_accesses(arch, wl, mapping)
         for key, t in profile.traffic.items():
             assert trace.events[key] == t.events, key
+            assert trace.bytes[key] == t.bytes, key
 
     def test_operand_with_all_loops_below_fetches_once(self):
         arch = make_arch([(64, 0.1), (16, 1.0)])
@@ -116,10 +136,13 @@ class TestEnumeration:
         arch = make_arch([(64, 0.1), (16, 1.0)])
         wl = gemm(4, 4, 2)
         mapping = plain_mapping([[("C", 2), ("B", 4)], [("K", 2), ("C", 2)]])
-        t1 = enumerate_accesses(arch, wl, mapping, record_events=True)
-        t2 = enumerate_accesses(arch, wl, mapping, record_events=True)
+        t1 = enumerate_accesses(arch, wl, mapping)
+        t2 = enumerate_accesses(arch, wl, mapping)
         assert t1.events == t2.events and t1.bytes == t2.bytes
-        assert t1.dump_lines() == t2.dump_lines()
+        assert t1.revisited == t2.revisited
+        for overlap in (True, False):
+            assert (simulate_cycles(arch, wl, mapping, overlap=overlap)
+                    == simulate_cycles(arch, wl, mapping, overlap=overlap))
 
     def test_cap_refuses_large_spaces(self):
         arch = single_level()
@@ -150,17 +173,6 @@ class TestEnumeration:
             assert trace.bytes[key] == t.bytes, key
         assert profile.traffic[(1, "W")].bytes == 0.0
         assert trace.revisited[(1, "O")]  # C at L2 wraps the output loops
-
-    def test_trace_dump_format(self):
-        arch = single_level()
-        wl = gemm(2, 2, 2)
-        mapping = plain_mapping([[("C", 2), ("K", 2), ("B", 2)]])
-        trace = enumerate_accesses(arch, wl, mapping, record_events=True)
-        lines = trace.dump_lines()
-        assert len(lines) == 8 + 8 + 4
-        first = lines[0].split(",")
-        assert len(first) == 4
-        int(first[0]); int(first[1]); float(first[3])  # cycle,level,_,bytes
 
 
 class TestCycleSimulation:
@@ -357,9 +369,8 @@ def reference_walk(arch, wl, mapping):
     state of the whole temporal nest (trip-1 loops included, outermost
     level's loops outermost), a fetch for each (operand, boundary) whose
     tile tuple differs from the previous iteration's, the fetches of
-    each L1 tile (a state of the loops at levels >= 2), and each
-    fetch's cycle.  Returns the recorded trace and the overlapped and
-    serialized pipeline results."""
+    each L1 tile (a state of the loops at levels >= 2).  Returns the
+    counted trace and the overlapped and serialized pipeline results."""
     nest = list(reversed(mapping.nest(arch.n_levels)))
     boundaries = range(1, arch.n_levels + 1)
     watchers = [((b, op.name), [j for j, (lv, d, _) in enumerate(nest)
@@ -371,7 +382,6 @@ def reference_walk(arch, wl, mapping):
     revisited = {key: False for key, _ in watchers}
     tiles: list[dict] = []  # per L1 tile, each watcher's fetches
     steps: list[int] = []  # per L1 tile, its iterations
-    fetches = []
     last_tile = None
     for cycle, counters in enumerate(itertools.product(*(range(t) for _, _, t in nest))):
         tile = [counters[j] for j in tile_loops]
@@ -388,7 +398,6 @@ def reference_walk(arch, wl, mapping):
             tiles[-1][key] += 1
             revisited[key] = revisited[key] or tid in seen[key]
             seen[key].add(tid)
-            fetches.append((cycle, *key))
 
     extents = tile_extents(mapping, arch.n_levels)
     per_event = {}
@@ -407,7 +416,6 @@ def reference_walk(arch, wl, mapping):
         events=events,
         bytes={key: n * per_event[key] for key, n in events.items()},
         revisited=revisited,
-        records=tuple(TraceRecord(c, b, name, per_event[(b, name)]) for c, b, name in fetches),
     )
 
     passes = fold_passes(arch, mapping)
@@ -433,10 +441,8 @@ def reference_walk(arch, wl, mapping):
 
 def assert_walks_like_the_reference(arch, wl, mapping):
     trace, overlapped, serialized = reference_walk(arch, wl, mapping)
-    recorded = enumerate_accesses(arch, wl, mapping, record_events=True)
-    assert recorded == trace
-    assert recorded.dump_lines() == trace.dump_lines()
-    assert enumerate_accesses(arch, wl, mapping) == trace._replace(records=())
+    counted = enumerate_accesses(arch, wl, mapping)
+    assert counted == trace
     assert simulate_cycles(arch, wl, mapping, overlap=True) == overlapped
     assert simulate_cycles(arch, wl, mapping, overlap=False) == serialized
 
@@ -469,7 +475,8 @@ class TestReferenceWalk:
     def test_hand_traced_nest(self):
         arch, wl = single_level(), gemm(2, 2, 2)
         mapping = plain_mapping([[("C", 2), ("K", 2), ("B", 2)]])
-        assert reference_walk(arch, wl, mapping)[0].dump_lines() == HAND_TRACED_2X2X2
+        trace = reference_walk(arch, wl, mapping)[0]
+        assert (trace.events, trace.bytes) == hand_traced_counts()
         assert_walks_like_the_reference(arch, wl, mapping)
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)

@@ -104,6 +104,38 @@ class TestOneCountPerSweep:
             report.run_sweep(_scenario("gemm_dense"), "B_L2", [16.0, 0.0])
 
 
+class TestSweepValues:
+    @pytest.mark.parametrize("name, knob, value", [
+        ("gemm_dense", "dim:row", 2.5),
+        ("gemm_dense", "precision", 4.5),
+        ("imc256", "P_R", 128.5),
+        ("gemm_dense", "dim:col", float("inf")),
+        ("gemm_dense", "precision", float("nan")),
+    ])
+    def test_a_fraction_of_a_whole_number_knob_is_an_error(self, name, knob, value):
+        # int() would run 2.5 rows as 2 under a row labelled 2.5
+        with pytest.raises(report.SweepParameterError,
+                           match=f"^{knob} takes whole numbers \\(got {value}\\)$"):
+            report.apply_sweep_value(_scenario(name), knob, value)
+
+    @pytest.mark.parametrize("value", [4, 4.0])  # as design points and the CLI pass it
+    def test_an_integral_value_is_taken_as_an_int(self, value):
+        loaded = _scenario("gemm_dense")
+        rows = dict(report.apply_sweep_value(loaded, "dim:row", value).arch.array.dims)["row"]
+        assert type(rows) is int and rows == 4
+        bits = report.apply_sweep_value(loaded, "precision", value).transforms[-1].precision_bits
+        assert type(bits["W"]) is int and bits == {"W": 4}
+        macro = report.apply_sweep_value(_scenario("imc256"), "P_R", value).transforms[-1]
+        assert type(macro.rows) is int and macro.rows == 4
+
+
+def test_a_scenario_without_a_source_of_traffic_is_an_error():
+    loaded = _scenario("gemm_dense")._replace(mapping=None)
+    assert loaded.ai_profile is None
+    with pytest.raises(ValueError, match="needs either 'mapping' or 'ai_profile'"):
+        report.run_scenario(loaded)
+
+
 class TestRecords:
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_result_records_are_immutable(self, name):
