@@ -9,11 +9,11 @@ operand-irrelevant loop encloses an operand-relevant one, every
 iteration of the outer loop re-fetches the tiles swept inside it.
 
 Under that model the number of tile fetches across the boundary
-between Li and L(i-1) has a closed form.  List the temporal loops at
-levels >= i innermost first and find the innermost loop that is
-relevant to the operand and actually iterates (trip > 1).  Loops
-inside it never change the tile; every loop from it outward -
-relevant or not - advances or re-sweeps the tile, so
+between Li and L(i-1) has a closed form.  Among the temporal loops at
+levels >= i, find the innermost loop that is relevant to the operand
+and actually iterates (trip > 1).  Loops inside it never change the
+tile; every loop from it outward - relevant or not - advances or
+re-sweeps the tile, so
 
     fetch_events = product of trip counts from that loop outward,
 
@@ -30,12 +30,15 @@ remain outside (at or above the accumulation-completion boundary),
 each event is a single write of a finished tile.  Partial sums move at
 the accumulator width; finished tiles above the completion boundary
 move at the declared output width.
+
+``count_accesses`` finds every boundary's fetch events and pending
+reduction in one walk per operand over the temporal loops, outermost
+first: after the loops of level i, the walk's state answers boundary i.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 from .model import (
@@ -52,36 +55,6 @@ from .model import (
     tile_elements,
     valid_tile_extents,
 )
-
-Loop = tuple[str, int]  # (dim name, trip count)
-
-
-def fetch_events(loops_inner_first: tuple[Loop, ...], relevant: frozenset[str]) -> int:
-    """Tile fetches across a boundary given the loops at/above it."""
-    for pos, (dim, trip) in enumerate(loops_inner_first):
-        if dim in relevant and trip > 1:
-            events = 1
-            for _, t in loops_inner_first[pos:]:
-                events *= t
-            return events
-    return 1
-
-
-def has_pending_reduction(
-    loops_inner_first: tuple[Loop, ...], relevant: frozenset[str]
-) -> bool:
-    """True when a reduction loop encloses the innermost relevant loop,
-    i.e. partially accumulated output tiles recross this boundary."""
-    seen_relevant = False
-    for dim, trip in loops_inner_first:
-        if trip <= 1:
-            continue
-        if dim in relevant:
-            seen_relevant = True
-        elif seen_relevant:
-            return True
-    return False
-
 
 class OperandTraffic(NamedTuple):
     """Traffic of one operand across one level boundary."""
@@ -101,26 +74,23 @@ class AccessProfile(Record):
 
     ``traffic[(level, operand)]`` describes the crossings of the
     boundary between that level and the one below it; ``n_bytes[level]``
-    is the summed byte count N_Li used by the roofline equations.  It
+    is the summed byte count N_Li used by the roofline equations, summed
+    here at construction (it is derived, so it is not a field).  It
     holds counts only: N_op is the workload's, and the resident operand
     per level is ``derive_stationarity``'s.
     """
 
     _fields = ("levels", "traffic")
-    __slots__ = _fields + ("__dict__",)  # n_bytes is cached there
+    __slots__ = _fields + ("n_bytes",)
 
     def __init__(self, levels: tuple[int, ...],
                  traffic: dict[tuple[int, str], OperandTraffic]):
+        n_bytes: dict[int, float] = {li: 0.0 for li in levels}
+        for (li, _), (events, elements, bpe, factor) in traffic.items():
+            n_bytes[li] += events * elements * bpe * factor
         _set(self, "levels", levels)
         _set(self, "traffic", traffic)
-
-    @cached_property
-    def n_bytes(self) -> dict[int, float]:
-        """N_Li per level, summed once on first read; callers share the dict."""
-        out: dict[int, float] = {li: 0.0 for li in self.levels}
-        for (li, _), t in self.traffic.items():
-            out[li] += t.bytes
-        return out
+        _set(self, "n_bytes", n_bytes)
 
     def scaled(self, byte_scale: dict[str, float]) -> "AccessProfile":
         """A copy with per-operand byte widths rescaled (sparsity model)."""
@@ -204,6 +174,13 @@ def count_accesses(
 ) -> AccessProfile:
     """Closed-form access counts per (operand, level boundary).
 
+    One walk per operand over the loops that iterate, outermost first,
+    keeps the product of their trips: at a relevant loop it becomes the
+    fetch events of the boundaries at or below that loop's level, with
+    a pending reduction if a reduction loop came before, until a
+    relevant loop further in takes over.  N_Li is summed as the
+    ``AccessProfile`` is built.
+
     Rejects invalid mappings.  A pinned operand (weights resident in
     the compute array) moves no bytes across the L1 boundary, though
     its fetch-event count is still reported so reload stalls can be
@@ -211,31 +188,41 @@ def count_accesses(
     """
     extents = valid_tile_extents(arch, wl, mapping)
     n_levels = arch.n_levels
-    nest = mapping.nest(n_levels)
-    levels = range(1, n_levels + 1)
-    # the loops at or above each boundary, innermost first
-    loops_ge = {li: tuple((d, t) for lv, d, t in nest if lv >= li) for li in levels}
+    temporal = mapping.temporal[:n_levels]
+    levels = tuple(range(1, n_levels + 1))
+    new = tuple.__new__  # half the cost of OperandTraffic's generated __new__
     traffic: dict[tuple[int, str], OperandTraffic] = {}
 
     for op in wl.operands:
         rel = op.relevant
-        pending: dict[int, bool] = {}
-        if op.role == OUTPUT:
-            pending = {li: has_pending_reduction(loops_ge[li], rel) for li in levels}
-        for li in levels:
-            events = fetch_events(loops_ge[li], rel)
+        output = op.role == OUTPUT
+        # (fetch events, pending reduction) per boundary, level 1 first
+        walked = [(1, False)] * n_levels
+        events, pending, reducing, trips = 1, False, False, 1
+        for li in range(len(temporal), 0, -1):
+            for dim, trip in reversed(temporal[li - 1]):
+                if trip > 1:
+                    trips *= trip
+                    if dim in rel:
+                        events, pending = trips, reducing
+                    else:
+                        reducing = True
+            walked[li - 1] = (events, pending)
+        partial_below = False
+        for li, (events, pending) in zip(levels, walked):
             elements = tile_elements(extents[li - 1], op)
-            if op.role == OUTPUT:
-                factor = 2 if pending[li] else 1
-                bpe = output_bytes_per_element(op, li, pending.get(li - 1, False))
+            if output:
+                factor = 2 if pending else 1
+                bpe = output_bytes_per_element(op, li, partial_below)
+                partial_below = pending
             else:
                 factor = 1
                 bpe = op.bytes_per_element  # type: ignore[assignment]
-            if mapping.pinned_operand == op.name and li == 1:
+            if li == 1 and mapping.pinned_operand == op.name:
                 bpe = 0.0
-            traffic[(li, op.name)] = OperandTraffic(events, elements, bpe, factor)
+            traffic[(li, op.name)] = new(OperandTraffic, (events, elements, bpe, factor))
 
-    return AccessProfile(tuple(levels), traffic)
+    return AccessProfile(levels, traffic)
 
 
 def spatial_utilization(arch: ArchSpec, mapping: MappingSpec) -> float:

@@ -372,59 +372,72 @@ def arch_violations(arch: ArchSpec) -> list[str]:
     """The architecture's own field invariants, which every evaluation
     needs, mapped or not; an empty list means valid."""
     v: list[str] = []
-    for lvl in arch.levels:
+    levels = arch.levels
+    names: set[str] = set()
+    contiguous = True
+    for i, lvl in enumerate(levels, 1):
+        name = lvl.name
         if lvl.bandwidth <= 0:
-            v.append(f"level {lvl.name}: bandwidth must be > 0 (got {lvl.bandwidth})")
+            v.append(f"level {name}: bandwidth must be > 0 (got {lvl.bandwidth})")
         if lvl.energy_per_byte < 0:
-            v.append(f"level {lvl.name}: energy_per_byte must be >= 0")
+            v.append(f"level {name}: energy_per_byte must be >= 0")
         if lvl.capacity is not None and lvl.capacity <= 0:
-            v.append(f"level {lvl.name}: capacity must be > 0 when bounded")
-        if lvl.name in (COMPUTE, RELOAD):
-            v.append(f"level {lvl.name}: the name is reserved for a latency term")
-    if not arch.levels:
+            v.append(f"level {name}: capacity must be > 0 when bounded")
+        if name == COMPUTE or name == RELOAD:
+            v.append(f"level {name}: the name is reserved for a latency term")
+        if lvl.level_index != i:
+            contiguous = False
+        names.add(name)
+    if not levels:
         v.append("architecture needs at least one memory level")
-    indices = [lvl.level_index for lvl in arch.levels]
-    if indices != list(range(1, len(indices) + 1)):
+    if not contiguous:
+        indices = [lvl.level_index for lvl in levels]
         v.append(f"level indices must run 1..{len(indices)} contiguously (got {indices})")
-    names = [lvl.name for lvl in arch.levels]
-    if len(set(names)) != len(names):
-        v.append(f"duplicate level names in architecture: {names}")
+    if len(names) != len(levels):
+        v.append(f"duplicate level names in architecture: {[lvl.name for lvl in levels]}")
     if arch.clock <= 0:
         v.append(f"clock must be > 0 (got {arch.clock})")
-    if arch.array.energy_per_op < 0:
+    array = arch.array
+    if array.energy_per_op < 0:
         v.append("array energy_per_op must be >= 0")
-    if arch.array.throughput_scale <= 0:
-        v.append(f"array throughput_scale must be > 0 (got {arch.array.throughput_scale})")
-    for axis, size in arch.array.dims:
+    if array.throughput_scale <= 0:
+        v.append(f"array throughput_scale must be > 0 (got {array.throughput_scale})")
+    for axis, size in array.dims:
         if size < 1:
             v.append(f"array axis {axis}: size must be >= 1")
     return v
 
 
-def workload_violations(wl: WorkloadSpec) -> list[str]:
+def workload_violations(wl: WorkloadSpec, sizes: dict[str, int] | None = None) -> list[str]:
     """The workload's own invariants, which every evaluation needs,
-    mapped or not; an empty list means valid."""
+    mapped or not; an empty list means valid.  ``sizes`` is
+    ``wl.dim_sizes`` when the caller has built it already."""
     v: list[str] = []
-    sizes = wl.dim_sizes
-    if len(sizes) != len(wl.dims):
-        v.append(f"duplicate loop dim names in workload: {[d.name for d in wl.dims]}")
-    if len({op.name for op in wl.operands}) != len(wl.operands):
-        v.append(f"duplicate operand names in workload: {[op.name for op in wl.operands]}")
+    if sizes is None:
+        sizes = wl.dim_sizes
+    dims, operands = wl.dims, wl.operands
+    if len(sizes) != len(dims):
+        v.append(f"duplicate loop dim names in workload: {[d.name for d in dims]}")
+    if len({op.name for op in operands}) != len(operands):
+        v.append(f"duplicate operand names in workload: {[op.name for op in operands]}")
     relevant: set[str] = set()
-    for op in wl.operands:
-        relevant |= op.relevant
-        if len(op.relevant) != len(op.relevant_dims):
+    n_outputs = 0
+    for op in operands:
+        rel = op.relevant
+        relevant |= rel
+        if op.role == OUTPUT:
+            n_outputs += 1
+        if len(rel) != len(op.relevant_dims):
             v.append(f"operand {op.name}: relevant dims {list(op.relevant_dims)} "
                      "name a dim more than once")
-        if not op.relevant <= sizes.keys():
+        if not sizes.keys() >= rel:
             v.append(f"operand {op.name}: relevant dims "
-                     f"{sorted(op.relevant - sizes.keys())} not in workload")
+                     f"{sorted(rel - sizes.keys())} not in workload")
         if op.precision_bits < 1:
             v.append(f"operand {op.name}: precision_bits must be >= 1")
-    n_outputs = sum(1 for op in wl.operands if op.role == OUTPUT)
     if n_outputs != 1:
         v.append(f"workload must have exactly one output-like operand (got {n_outputs})")
-    for d in wl.dims:
+    for d in dims:
         if d.size < 1:
             v.append(f"dim {d.name}: size must be >= 1")
         if d.name not in relevant:
@@ -460,36 +473,31 @@ def _check(
     """``validate``'s violations plus the extent table its closure and
     capacity checks read, with a row per level of the architecture or
     of the mapping, whichever has more."""
-    v = arch_violations(arch) + workload_violations(wl)
     sizes = wl.dim_sizes
+    v = arch_violations(arch) + workload_violations(wl, sizes)
 
     # -- mapping invariants
+    axes = dict(arch.array.dims)
     seen_axes: set[str] = set()
-    seen_pairs: set[tuple[str, str]] = set()
-    axis_names = {a for a, _ in arch.array.dims}
-    for u in mapping.spatial:
-        if u.axis not in axis_names:
-            v.append(f"spatial unroll targets unknown array axis {u.axis!r}")
-        if u.dim not in sizes:
-            v.append(f"spatial unroll of unknown dim {u.dim!r}")
-        if u.axis in seen_axes:
-            v.append(f"array axis {u.axis} mapped by more than one spatial entry")
-        seen_axes.add(u.axis)
-        if (u.axis, u.dim) in seen_pairs:
-            v.append(f"duplicate spatial unroll for (axis {u.axis}, dim {u.dim})")
-        seen_pairs.add((u.axis, u.dim))
-        if u.dim in sizes and u.factor > sizes[u.dim]:
-            v.append(
-                f"spatial unroll of {u.dim} by {u.factor} exceeds dim size "
-                f"{sizes[u.dim]}"
-            )
+    for i, u in enumerate(mapping.spatial):
+        axis, dim = u.axis, u.dim
+        size = sizes.get(dim)
+        if axis not in axes:
+            v.append(f"spatial unroll targets unknown array axis {axis!r}")
+        if size is None:
+            v.append(f"spatial unroll of unknown dim {dim!r}")
+        if axis in seen_axes:
+            v.append(f"array axis {axis} mapped by more than one spatial entry")
+            if any(p.axis == axis and p.dim == dim for p in mapping.spatial[:i]):
+                v.append(f"duplicate spatial unroll for (axis {axis}, dim {dim})")
+        seen_axes.add(axis)
+        if size is not None and u.factor > size:
+            v.append(f"spatial unroll of {dim} by {u.factor} exceeds dim size {size}")
     if mapping.cores < 1:
         v.append(f"cores must be >= 1 (got {mapping.cores})")
     if len(mapping.temporal) > len(arch.levels):
-        v.append(
-            f"mapping tiles {len(mapping.temporal)} levels but the "
-            f"architecture has {len(arch.levels)}"
-        )
+        v.append(f"mapping tiles {len(mapping.temporal)} levels but the "
+                 f"architecture has {len(arch.levels)}")
     for li, loops in enumerate(mapping.temporal, 1):
         for dim, trip in loops:
             if dim not in sizes:
@@ -516,10 +524,8 @@ def _check(
     for d in wl.dims:
         product = top.get(d.name, 1)
         if product != d.size:
-            v.append(
-                f"dim {d.name}: spatial x temporal x core product {product} "
-                f"!= size {d.size}"
-            )
+            v.append(f"dim {d.name}: spatial x temporal x core product {product} "
+                     f"!= size {d.size}")
 
     # -- capacity: per-level tile footprints summed over operands
     for lvl in arch.levels:
@@ -531,9 +537,7 @@ def _check(
             for op in wl.operands
         )
         if total > lvl.capacity:
-            v.append(
-                f"level {lvl.name}: tile footprint {total} B exceeds capacity "
-                f"{lvl.capacity} B"
-            )
+            v.append(f"level {lvl.name}: tile footprint {total} B exceeds capacity "
+                     f"{lvl.capacity} B")
 
     return v, extents

@@ -279,7 +279,11 @@ def apply_sweep_value(loaded: LoadedScenario, parameter: str,
                    None)
         if idx is None:
             raise SweepParameterError("P_R sweep needs an IMC transform in the chain")
-        transforms[idx] = transforms[idx]._replace(rows=_whole(parameter, value))
+        rows = _whole(parameter, value)
+        if rows < 1:
+            raise SweepParameterError(
+                f"P_R sets the IMC macro's rows (array axis row) and must be >= 1 (got {value})")
+        transforms[idx] = transforms[idx]._replace(rows=rows)
     elif parameter.startswith("dim:"):
         axis = parameter[4:]
         if not any(a == axis for a, _ in arch.array.dims):
@@ -293,6 +297,8 @@ def apply_sweep_value(loaded: LoadedScenario, parameter: str,
         raise SweepParameterError(
             f"unknown sweep parameter {parameter!r}; one of {SWEEPABLE}"
         )
+    if not math.isfinite(value):  # the whole-number knobs refused it in _whole
+        raise SweepParameterError(f"{parameter} takes finite numbers (got {value})")
 
     return loaded._replace(arch=arch, transforms=tuple(transforms))
 

@@ -399,6 +399,25 @@ class TestSweep:
         assert code == 1 and out == "" and "Traceback" not in err
         assert "dim:row takes whole numbers (got 2.5)" in err
 
+    @pytest.mark.parametrize("knob, values, message", [
+        ("B_L2", "nan,inf", "B_L2 takes finite numbers (got nan)"),
+        ("f_clk", "inf", "f_clk takes finite numbers (got inf)"),
+        ("A_op", "-inf", "A_op takes finite numbers (got -inf)"),
+    ])
+    def test_non_finite_value_fails_naming_the_knob(self, capsys, knob, values, message):
+        code, out = run("sweep", "--scenario", scenario_arg("gemm_dense.scenario"),
+                        "--param", knob, f"--values={values}")
+        err = capsys.readouterr().err
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert message in err
+
+    def test_p_r_below_one_fails_naming_p_r(self, capsys):
+        code, out = run("sweep", "--scenario", scenario_arg("imc256.scenario"),
+                        "--param", "P_R", "--values", "0")
+        err = capsys.readouterr().err
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "P_R" in err and "(got 0.0)" in err
+
     def test_integral_float_array_size_runs_as_the_integer(self):
         code, out = run("sweep", "--scenario", scenario_arg("gemm_dense.scenario"),
                         "--param", "dim:row", "--values", "4.0,2.0")

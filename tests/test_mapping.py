@@ -4,6 +4,7 @@ utilization.  Expected counts are hand-traced or oracle-verified."""
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from roofline_lab import (
     InvalidMappingError,
@@ -14,9 +15,19 @@ from roofline_lab import (
     enumerate_accesses,
     utilization,
 )
-from roofline_lab.mapping import spatial_utilization, temporal_steps
+from roofline_lab.config_io import fixture_path, parse_scenario
+from roofline_lab.mapping import output_bytes_per_element, spatial_utilization, temporal_steps
+from roofline_lab.model import OUTPUT, tile_elements, tile_extents
+from roofline_lab.report import load_scenario, scenario_traffic
 
 from conftest import conv7, gemm, make_arch, plain_mapping, unroll
+from test_oracle import (
+    all_trip_one_fixture,
+    nests,
+    no_moving_loop_fixture,
+    single_level,
+    trip_one_fixture,
+)
 
 
 def single_level_arch(**kw):
@@ -349,3 +360,103 @@ class TestUtilization:
         )
         profile = count_accesses(arch, wl, half)
         assert utilization(arch, wl, half, profile).core == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the closed forms one boundary at a time
+
+
+def reference_fetch_events(loops_inner_first, relevant):
+    """Tile fetches across a boundary given the (dim, trip) loops at or
+    above it: the product of the trips from the innermost relevant loop
+    that iterates outward, or 1 without one."""
+    for pos, (dim, trip) in enumerate(loops_inner_first):
+        if dim in relevant and trip > 1:
+            events = 1
+            for _, t in loops_inner_first[pos:]:
+                events *= t
+            return events
+    return 1
+
+
+def reference_pending_reduction(loops_inner_first, relevant):
+    """Whether a reduction loop that iterates encloses the innermost
+    relevant loop that iterates."""
+    seen_relevant = False
+    for dim, trip in loops_inner_first:
+        if trip <= 1:
+            continue
+        if dim in relevant:
+            seen_relevant = True
+        elif seen_relevant:
+            return True
+    return False
+
+
+def reference_n_bytes(levels, traffic):
+    """N_Li summed entry by entry in the traffic's order."""
+    out = {li: 0.0 for li in levels}
+    for (li, _), t in traffic.items():
+        out[li] += t.bytes
+    return out
+
+
+def reference_traffic(arch, wl, mapping):
+    """``count_accesses``' traffic from the loops at or above each
+    boundary and the two functions above, in its key order."""
+    extents = tile_extents(mapping, arch.n_levels)
+    levels = range(1, arch.n_levels + 1)
+    nest = mapping.nest(arch.n_levels)
+    loops_ge = {li: tuple((d, t) for lv, d, t in nest if lv >= li) for li in levels}
+    traffic = {}
+    for op in wl.operands:
+        pending = {li: reference_pending_reduction(loops_ge[li], op.relevant)
+                   for li in levels}
+        for li in levels:
+            factor, bpe = 1, op.bytes_per_element
+            if op.role == OUTPUT:
+                factor = 2 if pending[li] else 1
+                bpe = output_bytes_per_element(op, li, pending.get(li - 1, False))
+            if mapping.pinned_operand == op.name and li == 1:
+                bpe = 0.0
+            traffic[(li, op.name)] = (reference_fetch_events(loops_ge[li], op.relevant),
+                                      tile_elements(extents[li - 1], op), bpe, factor)
+    return traffic
+
+
+def assert_counts_like_the_reference(arch, wl, mapping):
+    profile = count_accesses(arch, wl, mapping)
+    expected = reference_traffic(arch, wl, mapping)
+    assert list(profile.traffic) == list(expected)
+    for key, t in profile.traffic.items():
+        assert tuple(t) == expected[key]
+    assert list(profile.n_bytes.items()) == list(
+        reference_n_bytes(profile.levels, profile.traffic).items())
+    return profile
+
+
+def hand_traced_fixture():
+    return single_level(), gemm(2, 2, 2), plain_mapping([[("C", 2), ("K", 2), ("B", 2)]])
+
+
+class TestOneWalkPerOperand:
+    """``count_accesses`` walks each operand's loops once; it must count
+    what the closed forms give boundary by boundary."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(nests())
+    def test_generated_nests(self, nest):
+        assert_counts_like_the_reference(*nest[:3])
+
+    @pytest.mark.parametrize("fixture", [trip_one_fixture, no_moving_loop_fixture,
+                                         all_trip_one_fixture, hand_traced_fixture])
+    def test_fixtures(self, fixture):
+        assert_counts_like_the_reference(*fixture())
+
+    @pytest.mark.parametrize("name", ["gemm_dense", "gemm_2to4", "imc256"])
+    def test_shipped_scenarios_after_their_transforms(self, name):
+        loaded = load_scenario(parse_scenario(fixture_path(f"{name}.scenario")))
+        profile = scenario_traffic(loaded, assert_counts_like_the_reference).profile
+        # a sparse scenario's profile is rescaled, and N_Li summed again
+        assert list(profile.n_bytes.items()) == list(
+            reference_n_bytes(profile.levels, profile.traffic).items())

@@ -243,6 +243,40 @@ def test_core_split_wider_than_the_cores_is_a_violation():
         analyze_mapping(arch, wl, mapping)
 
 
+def test_several_faults_are_listed_in_the_order_of_the_checks():
+    # the levels one by one, then their indices and names; the
+    # workload's operand names, then its output count and its dims;
+    # then the spatial entries one by one and the factorization closure
+    arch = ArchSpec(
+        array=ComputeArray(dims=(("row", 2), ("col", 2)), energy_per_op=0.5),
+        levels=(MemoryLevel("L1", 0.0, 0.1),
+                MemoryLevel("compute", 4.0, 1.0, level_index=3),
+                MemoryLevel("L1", 2.0, -1.0, level_index=2)),
+        clock=1e9,
+    )
+    wl = WorkloadSpec(
+        name="faulty",
+        dims=(LoopDim("B", 2), LoopDim("C", 2), LoopDim("K", 2), LoopDim("X", 1)),
+        operands=(OperandSpec("W", "input", ("C", "K")), OperandSpec("I", "input", ("B", "C")),
+                  OperandSpec("W", "input", ("B", "K"))),
+    )
+    mapping = plain_mapping([[("C", 2), ("K", 2)]],
+                            spatial=[unroll("row", "B", 2), unroll("row", "B", 2)])
+    assert validate(arch, wl, mapping) == [
+        "level L1: bandwidth must be > 0 (got 0.0)",
+        "level compute: the name is reserved for a latency term",
+        "level L1: energy_per_byte must be >= 0",
+        "level indices must run 1..3 contiguously (got [1, 3, 2])",
+        "duplicate level names in architecture: ['L1', 'compute', 'L1']",
+        "duplicate operand names in workload: ['W', 'I', 'W']",
+        "workload must have exactly one output-like operand (got 0)",
+        "dim X is relevant to no operand",
+        "array axis row mapped by more than one spatial entry",
+        "duplicate spatial unroll for (axis row, dim B)",
+        "dim B: spatial x temporal x core product 4 != size 2",
+    ]
+
+
 def _invalid(nest_by_level, spatial=(), l1_capacity=None, **kw):
     arch = ArchSpec(
         array=ComputeArray(dims=(("row", 2), ("col", 2)), energy_per_op=0.5),
@@ -307,8 +341,10 @@ def test_replace_rejects_unknown_fields_and_rebuilds_derived_attributes():
     op = OperandSpec("I", "input", ("B", "C"))
     assert op._replace(relevant_dims=("C", "K")).relevant == frozenset(("C", "K"))
     profile = count_accesses(*_tiny())
-    assert profile.n_bytes  # cached on the original, rebuilt on the copy
+    assert profile.n_bytes  # summed for the original, again for the copy
     assert profile._replace(traffic={}).n_bytes == {li: 0.0 for li in profile.levels}
+    with pytest.raises(KeyError):  # traffic across a boundary the profile does not list
+        profile._replace(levels=(1,))
 
 
 def _tiny():
@@ -335,7 +371,8 @@ RECORDS = [
     (WorkloadSpec, lambda: _tiny()[1], "name", "other"),
     (SpatialUnroll, lambda: unroll("row", "C", 4), "factor", 2),
     (MappingSpec, lambda: _tiny()[2]._replace(cores=2, core_split=("B", 2)), "cores", 4),
-    (AccessProfile, lambda: count_accesses(*_tiny()), "levels", (1,)),
+    # a level set that still holds every traffic level: N_Li is summed at construction
+    (AccessProfile, lambda: count_accesses(*_tiny()), "levels", (1, 2, 3)),
     (RooflineCurve, lambda: RooflineCurve(((1.0, "L1"),), 4.0),
      "asymptote", 8.0),
     (ThroughputRoofline, lambda: throughput_roofline(_tiny()[0], RATIOS), "asymptote", 1.0),

@@ -118,6 +118,27 @@ class TestSweepValues:
                            match=f"^{knob} takes whole numbers \\(got {value}\\)$"):
             report.apply_sweep_value(_scenario(name), knob, value)
 
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_value_is_an_error_naming_the_knob(self, name, value):
+        # nan passes every range check (nan <= 0 is false) and inf is in range
+        loaded = _scenario(name)
+        knobs = ["A_op", "E_op", "f_clk", "precision", "density"]
+        knobs += [f"{kind}_{lvl.name}" for lvl in loaded.arch.levels for kind in "BE"]
+        knobs += [f"dim:{axis}" for axis, _ in loaded.arch.array.dims]
+        knobs += ["P_R"] if any(isinstance(t, ImcMacro) for t in loaded.transforms) else []
+        for knob in knobs:
+            with pytest.raises(report.SweepParameterError,
+                               match=f"^{knob} takes (finite|whole) numbers \\(got {value}\\)$"):
+                report.apply_sweep_value(loaded, knob, value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_p_r_below_one_is_an_error_naming_p_r(self, value):
+        # not the array axis the macro's rows become
+        with pytest.raises(report.SweepParameterError,
+                           match=f"^P_R .* must be >= 1 \\(got {value}\\)$"):
+            report.apply_sweep_value(_scenario("imc256"), "P_R", value)
+
     @pytest.mark.parametrize("value", [4, 4.0])  # as design points and the CLI pass it
     def test_an_integral_value_is_taken_as_an_int(self, value):
         loaded = _scenario("gemm_dense")
