@@ -15,7 +15,7 @@ and actually iterates (trip > 1).  Loops inside it never change the
 tile; every loop from it outward - relevant or not - advances or
 re-sweeps the tile, so
 
-    fetch_events = product of trip counts from that loop outward,
+    fetch events = product of trip counts from that loop outward,
 
 or 1 when no such loop exists (the operand's whole footprint crosses
 the boundary once).  Spatial unrolls and the core split sit below all
