@@ -12,7 +12,6 @@ from roofline_lab import (
     QuantConfig,
     SparsityConfig,
     apply_quantization,
-    apply_sparsity,
 )
 from roofline_lab.analysis import analyze_mapping
 from roofline_lab.config_io import (
@@ -66,15 +65,13 @@ rows = [("dense", dense)]
 
 cfg24 = SparsityConfig(mode="structured-NM", density={"W": 0.5}, n=2, m=4,
                        utilization_penalty=0.9)
-m24 = apply_sparsity(wl, cfg24)
 rows.append(("2:4 structured",
-             analyze_mapping(arch, wl, mapping, label="2:4", sparsity=m24)))
+             analyze_mapping(arch, wl, mapping, label="2:4", transforms=(cfg24,))))
 
 cfg_u = SparsityConfig(mode="unstructured", density={"W": 0.0039},
                        index_bits=32, utilization_penalty=0.5)
-mu = apply_sparsity(wl, cfg_u)
 rows.append(("0.39% unstructured",
-             analyze_mapping(arch, wl, mapping, label="sparse", sparsity=mu)))
+             analyze_mapping(arch, wl, mapping, label="sparse", transforms=(cfg_u,))))
 
 print(f"{'variant':<20} {'eff ops':>9} {'AI_ref':>8} {'ops/cycle':>10} "
       f"{'of ceiling':>10}")

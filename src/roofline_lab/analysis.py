@@ -1,17 +1,19 @@
-"""End-to-end evaluation of one design point: access counts, intensities,
-utilization, task cost, ceilings and the operating point in one result.
+"""A scenario's traffic stage, then its cost stage: access counts,
+intensities, utilization, task cost, ceilings and the operating point.
 
-Evaluation has two stages, as the dual roofline separates what the
-mapping fixes from what the architecture fixes.  The traffic stage
-builds a ``Traffic`` record: ``mapped_traffic`` counts the accesses of
-a concrete mapping, optionally under a sparsity traffic model, and
-``intensity_traffic`` synthesizes them from per-level arithmetic
-intensities (no mapping, ideal utilization), which is how roofline
-positions are studied before a mapping exists.  The cost stage, one
-private evaluator, prices that record: both roofs, task energy and
-latency, utilization and the point.  ``analyze_mapping`` and
-``analyze_intensities`` run both stages; the attained point of a
-mapping is ``analyze_mapping(...).point``, at or below both roofs.
+A ``LoadedScenario`` carries every input of an evaluation; its
+architecture's ``latency_overlap`` is the latency mode.  The stages
+follow the dual roofline, which separates what the mapping fixes from
+what the architecture fixes.  ``scenario_traffic`` applies the
+transform chain and builds a ``Traffic`` record: the counted accesses
+of a concrete mapping, rescaled by any sparsity model, or accesses
+synthesized from per-level AI (no mapping, ideal utilization), which is
+how roofline positions are studied before a mapping exists.  One
+private evaluator prices that record: both roofs, task energy and
+latency, utilization and the point.  ``run_scenario`` runs both stages,
+and ``analyze_mapping`` and ``analyze_intensities`` run a scenario
+built from specs, so ``analyze_mapping(...).point`` is at or below both
+roofs.
 
 Per-level AI is the effective op count over the bytes moved.  Under
 sparsity that is surviving ops over compressed bytes, since only MACs
@@ -49,7 +51,27 @@ from .roofline import (
     task_energy,
     throughput_roofline,
 )
-from .transforms import SparsityModel
+from .transforms import (
+    ImcMacro,
+    QuantConfig,
+    SparsityConfig,
+    SparsityModel,
+    apply_quantization,
+    apply_sparsity,
+    imc_macro_as_arch,
+)
+
+
+class LoadedScenario(NamedTuple):
+    """The inputs of one evaluation, as specs and transform configs."""
+
+    label: str
+    arch: ArchSpec
+    workload: WorkloadSpec
+    mapping: MappingSpec | None
+    ai_profile: dict[int, float] | None
+    ref_level: int | None
+    transforms: tuple[object, ...]
 
 
 class Traffic(NamedTuple):
@@ -82,28 +104,60 @@ class AnalysisResult(NamedTuple):
     energy_curve: EnergyRoofline
 
 
-def mapped_traffic(
-    arch: ArchSpec,
-    wl: WorkloadSpec,
-    mapping: MappingSpec,
-    sparsity: SparsityModel | None = None,
-    count: Callable[[ArchSpec, WorkloadSpec, MappingSpec], AccessProfile] | None = None,
-) -> Traffic:
-    """The traffic stage of a mapped workload: the access profile from
-    ``count`` (``count_accesses`` unless a sweep shares its counts),
-    with byte widths rescaled by the sparsity model."""
-    profile = (count or count_accesses)(arch, wl, mapping)
-    if sparsity is not None:
-        profile = profile.scaled(sparsity.byte_scale)
-    return Traffic(arch, wl, mapping, sparsity, profile)
+def _combine_sparsity(prev: SparsityModel | None, new: SparsityModel,
+                      n_op: int) -> SparsityModel:
+    if prev is None:
+        return new
+    scale = dict(prev.byte_scale)
+    for k, v in new.byte_scale.items():
+        scale[k] = scale.get(k, 1.0) * v
+    return SparsityModel(
+        effective_ops=prev.effective_ops * new.effective_ops / n_op,
+        byte_scale=scale,
+        bandwidth_penalty=prev.bandwidth_penalty * new.bandwidth_penalty,
+    )
 
 
-def intensity_traffic(
-    arch: ArchSpec, wl: WorkloadSpec, ai_per_level: dict[int, float]
-) -> Traffic:
-    """The traffic stage without a mapping: a profile synthesized from
-    per-level AI, for a valid architecture and workload."""
-    levels, given = set(range(1, arch.n_levels + 1)), set(ai_per_level)
+def scenario_traffic(loaded: LoadedScenario, count: Callable | None = None) -> Traffic:
+    """The traffic stage: apply the transform chain left to right, then
+    count the mapping's accesses (``count``, else ``count_accesses``) and
+    rescale them by the sparsity model, or synthesize them from AI."""
+    arch, wl, mapping = loaded.arch, loaded.workload, loaded.mapping
+    sparsity: SparsityModel | None = None
+    for t in loaded.transforms:
+        if isinstance(t, QuantConfig):
+            arch, wl = apply_quantization(arch, wl, t)
+        elif isinstance(t, SparsityConfig):
+            sparsity = _combine_sparsity(sparsity, apply_sparsity(wl, t), wl.n_op)
+        elif isinstance(t, ImcMacro):
+            bundle = imc_macro_as_arch(t)
+            arch = arch._replace(array=bundle.array)
+            if mapping is None:
+                raise ValueError("an IMC transform needs a concrete mapping")
+            if mapping.pinned_operand not in (None, bundle.pinned_operand):
+                raise ValueError(f"the mapping pins {mapping.pinned_operand!r}, but an "
+                                 f"IMC transform pins {bundle.pinned_operand!r}")
+            if mapping.reload_cycles_per_tile is not None:
+                raise ValueError(
+                    f"the mapping sets reload_cycles_per_tile "
+                    f"{mapping.reload_cycles_per_tile}, but an IMC transform sets the "
+                    f"macro's own ({bundle.reload_cycles_per_tile})")
+            mapping = mapping._replace(
+                pinned_operand=bundle.pinned_operand,
+                reload_cycles_per_tile=bundle.reload_cycles_per_tile,
+            )
+        else:
+            raise TypeError(f"unknown transform {t!r}")
+
+    if mapping is not None:
+        profile = (count or count_accesses)(arch, wl, mapping)
+        if sparsity is not None:
+            profile = profile.scaled(sparsity.byte_scale)
+        return Traffic(arch, wl, mapping, sparsity, profile)
+    ai = loaded.ai_profile
+    if ai is None:
+        raise ValueError("the scenario needs either 'mapping' or 'ai_profile'")
+    levels, given = set(range(1, arch.n_levels + 1)), set(ai)
     if given != levels:
         raise ValueError(
             f"ai_profile levels must be exactly 1..{arch.n_levels}: "
@@ -111,13 +165,11 @@ def intensity_traffic(
     violations = arch_violations(arch) + workload_violations(wl)
     if violations:
         raise InvalidMappingError(violations)
-    profile = AccessProfile.from_intensities(wl.n_op, ai_per_level)
-    return Traffic(arch, wl, None, None, profile)
+    # an AI profile is placed dense: there is no mapped traffic to rescale
+    return Traffic(arch, wl, None, None, AccessProfile.from_intensities(wl.n_op, ai))
 
 
-def _evaluate(
-    traffic: Traffic, label: str, ref_level: int | None, overlap: str | None
-) -> AnalysisResult:
+def _evaluate(traffic: Traffic, label: str, ref_level: int | None) -> AnalysisResult:
     """The cost stage: both roofs, task energy and latency, utilization
     and the point (effective ops / L_task against the roofs at the
     reference AI)."""
@@ -138,7 +190,7 @@ def _evaluate(
     tp_curve = throughput_roofline(arch, ratios, mapping)
     e_curve = energy_roofline(arch, ratios)
     e_task = task_energy(arch, wl, profile)
-    latency = task_latency(arch, wl, profile, overlap, mapping, bandwidth_penalty)
+    latency = task_latency(arch, wl, profile, mapping, bandwidth_penalty)
     if mapping is None:
         util = Utilization(1.0, latency.limiting_cycles / latency.cycles, 1.0)
     else:
@@ -178,27 +230,21 @@ def _evaluate(
     )
 
 
-def analyze_mapping(
-    arch: ArchSpec,
-    wl: WorkloadSpec,
-    mapping: MappingSpec,
-    label: str = "",
-    ref_level: int | None = None,
-    sparsity: SparsityModel | None = None,
-    overlap: str | None = None,
-) -> AnalysisResult:
-    return _evaluate(mapped_traffic(arch, wl, mapping, sparsity), label, ref_level, overlap)
+def run_scenario(loaded: LoadedScenario) -> AnalysisResult:
+    """The traffic stage, then the cost stage."""
+    return _evaluate(scenario_traffic(loaded), loaded.label, loaded.ref_level)
 
 
-def analyze_intensities(
-    arch: ArchSpec,
-    wl: WorkloadSpec,
-    ai_per_level: dict[int, float],
-    label: str = "",
-    ref_level: int | None = None,
-    overlap: str | None = None,
-) -> AnalysisResult:
+def analyze_mapping(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec, label: str = "",
+                    ref_level: int | None = None, transforms: tuple = ()) -> AnalysisResult:
+    """``run_scenario`` of a mapped scenario; ``transforms`` is the chain
+    of configs a scenario file holds."""
+    return run_scenario(
+        LoadedScenario(label, arch, wl, mapping, None, ref_level, tuple(transforms)))
+
+
+def analyze_intensities(arch: ArchSpec, wl: WorkloadSpec, ai_per_level: dict[int, float],
+                        label: str = "", ref_level: int | None = None) -> AnalysisResult:
     """Roofline placement from per-level AI alone: no mapping, so full
     spatial and core utilization and the ideal latency."""
-    return _evaluate(intensity_traffic(arch, wl, ai_per_level), label, ref_level, overlap)
-
+    return run_scenario(LoadedScenario(label, arch, wl, None, ai_per_level, ref_level, ()))

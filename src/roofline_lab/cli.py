@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", default=".", help="directory for csv/svg output")
         sp.add_argument("--format", choices=("text", "csv", "svg"), default="text")
         sp.add_argument("--overlap", choices=("overlapped", "serialized"),
-                        default=None, help="override the arch latency mode")
+                        default=None, help="rewrite the architecture's latency_overlap")
         sp.add_argument("--ai-ref-level", type=int, default=None,
                         help="memory level whose AI is the x axis")
 
@@ -106,16 +106,16 @@ def _scenario_from_args(args, path: str | None, parsed: dict | None = None
                         ) -> LoadedScenario:
     """The scenario at ``path`` (its files parsed through ``parsed``, as
     in ``load_scenario``), else the --arch/--workload/--mapping triple,
-    with the --ai-ref-level override applied."""
+    with the --ai-ref-level and --overlap overrides written into it."""
     if path is not None:
         loaded = load_scenario(parse_scenario(path), parsed)
     else:
         arch, wl, mapping = _load_triple(args)
-        loaded = LoadedScenario(label=Path(args.workload).stem, arch=arch, workload=wl,
-                                mapping=mapping, ai_profile=None, ref_level=None,
-                                transforms=())
+        loaded = LoadedScenario(Path(args.workload).stem, arch, wl, mapping, None, None, ())
     if args.ai_ref_level is not None:
         loaded = loaded._replace(ref_level=args.ai_ref_level)
+    if args.overlap is not None:
+        loaded = loaded._replace(arch=loaded.arch._replace(latency_overlap=args.overlap))
     return loaded
 
 
@@ -145,7 +145,7 @@ def _emit(result: AnalysisResult, args, stdout) -> None:
 
 
 def _cmd_analyze(args, stdout) -> int:
-    result = run_scenario(_scenario_from_args(args, args.scenario), overlap=args.overlap)
+    result = run_scenario(_scenario_from_args(args, args.scenario))
     _emit(result, args, stdout)
     return OK
 
@@ -156,7 +156,7 @@ def _cmd_sweep(args, stdout) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ParseError("<args>", "--values", str(exc)) from exc
-    rows = run_sweep(loaded, args.param, values, overlap=args.overlap)
+    rows = run_sweep(loaded, args.param, values)
     csv_text = rows_to_csv(SWEEP_FIELDS, rows)
     if args.format == "text":
         stdout.write(csv_text)
@@ -171,7 +171,7 @@ def _cmd_sweep(args, stdout) -> int:
 
 def _cmd_compare(args, stdout) -> int:
     parsed: dict = {}  # files shared by the scenarios, for this call only
-    results = [run_scenario(_scenario_from_args(args, spath, parsed), overlap=args.overlap)
+    results = [run_scenario(_scenario_from_args(args, spath, parsed))
                for spath in args.scenario]
     rows = [analysis_row(r) for r in results]
     stdout.write(rows_to_csv(ANALYSIS_FIELDS, rows))
@@ -220,9 +220,22 @@ def _cmd_oracle_check(args, stdout) -> int:
     return OK if ok else FAIL
 
 
+def _joined_values(argv: list[str]) -> list[str]:
+    """argv with a ``--values`` list that starts with ``-`` joined to its
+    flag: argparse takes a word such as ``-1e3``, ``-1,-2`` or ``-inf``
+    for an option, and reads it as a value only in ``--values=<list>``."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] == "--values" and word[:1] == "-" and word[:2] != "--":
+            out[-1] = f"--values={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv: list[str] | None = None, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     handlers = {
         "analyze": _cmd_analyze,
         "sweep": _cmd_sweep,

@@ -281,7 +281,6 @@ class LatencyResult(NamedTuple):
     seconds: float
     cycles: float
     limiter: str  # the largest level or compute term
-    mode: str  # the latency mode used: overlapped or serialized
     terms: tuple[tuple[str, float], ...]
 
     @property
@@ -293,7 +292,6 @@ def task_latency(
     arch: ArchSpec,
     wl: WorkloadSpec,
     profile: AccessProfile,
-    overlap: str | None = None,
     mapping: MappingSpec | None = None,
     bandwidth_penalty: float = 1.0,
 ) -> LatencyResult:
@@ -304,11 +302,11 @@ def task_latency(
     drain its traffic in parallel while levels above it are shared.
     Compute takes N_op/A_op cycles without a mapping, and with one a
     cycle per temporal step and fold pass at the array's throughput
-    scale.  Overlapped (``overlap``, else the architecture's mode): the
-    slowest resource hides the rest and the limiter names it.
-    Serialized: the terms add.  Serialized weight reloads add to either.
+    scale.  The mode is the architecture's ``latency_overlap`` and
+    nothing else.  Overlapped: the slowest resource hides the rest and
+    the limiter names it.  Serialized: the terms add.  Serialized weight
+    reloads add to either.
     """
-    mode = overlap if overlap is not None else arch.latency_overlap
     cores = active_cores(mapping) if mapping is not None else 1
     n_bytes = profile.n_bytes
     terms = [
@@ -323,12 +321,12 @@ def task_latency(
         terms.append((COMPUTE, temporal_steps(arch, mapping) / arch.array.throughput_scale))
         stalls = float(reload_stall_cycles(profile, mapping))
     limiter, cycles = max(terms, key=lambda kv: kv[1])
-    if mode == SERIALIZED:
+    if arch.latency_overlap == SERIALIZED:
         cycles = sum(c for _, c in terms)
     if stalls:
         terms.append((RELOAD, stalls))
         cycles += stalls
-    return LatencyResult(cycles / arch.clock, cycles, limiter, mode, tuple(terms))
+    return LatencyResult(cycles / arch.clock, cycles, limiter, tuple(terms))
 
 
 def utilization(
@@ -341,9 +339,8 @@ def utilization(
     """Spatial x temporal x core utilization of the mapped workload.
 
     Temporal utilization is the limiting term's share of the task
-    latency (``latency``, else ``task_latency`` of this mapping in the
-    architecture's mode): what serialized transfers and reloads add on
-    top of it is stall time.
+    latency (``latency``, else ``task_latency`` of this mapping): what
+    serialized transfers and reloads add on top of it is stall time.
     """
     if latency is None:
         latency = task_latency(arch, wl, profile, mapping=mapping)

@@ -1,5 +1,7 @@
-"""Scenario execution and rendering: text tables, CSV rows and chart
-assembly for analyze / sweep / compare runs.
+"""Scenario files, sweeps and rendering: loading the files a scenario
+names, sweeping one knob across values, and the text tables, CSV rows
+and chart assembly of analyze / sweep / compare runs.  Evaluation
+itself is ``analysis.run_scenario``.
 """
 
 from __future__ import annotations
@@ -7,27 +9,18 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import NamedTuple
 
 from .analysis import (
     AnalysisResult,
-    Traffic,
+    LoadedScenario,
     _evaluate,
-    intensity_traffic,
-    mapped_traffic,
+    run_scenario,
+    scenario_traffic,
 )
 from .config_io import Scenario, parse_arch, parse_mapping, parse_workload
 from .mapping import AccessProfile, count_accesses
 from .model import INPUT, ArchSpec, MappingSpec, WorkloadSpec, valid_tile_extents
-from .transforms import (
-    ImcMacro,
-    QuantConfig,
-    SparsityConfig,
-    SparsityModel,
-    apply_quantization,
-    apply_sparsity,
-    imc_macro_as_arch,
-)
+from .transforms import ImcMacro, QuantConfig, SparsityConfig
 
 SWEEPABLE = (
     "A_op", "E_op", "f_clk", "precision", "density", "P_R",
@@ -37,16 +30,6 @@ SWEEPABLE = (
 
 class SweepParameterError(ValueError):
     pass
-
-
-class LoadedScenario(NamedTuple):
-    label: str
-    arch: ArchSpec
-    workload: WorkloadSpec
-    mapping: MappingSpec | None
-    ai_profile: dict[int, float] | None
-    ref_level: int | None
-    transforms: tuple[object, ...]
 
 
 def load_scenario(scenario: Scenario, parsed: dict | None = None) -> LoadedScenario:
@@ -64,73 +47,8 @@ def load_scenario(scenario: Scenario, parsed: dict | None = None) -> LoadedScena
     arch = parse(parse_arch, scenario.arch_path)
     wl = parse(parse_workload, scenario.workload_path)
     mapping = parse(parse_mapping, scenario.mapping_path) if scenario.mapping_path else None
-    return LoadedScenario(
-        label=scenario.label,
-        arch=arch,
-        workload=wl,
-        mapping=mapping,
-        ai_profile=scenario.ai_profile,
-        ref_level=scenario.ref_level,
-        transforms=scenario.transforms,
-    )
-
-
-def _combine_sparsity(prev: SparsityModel | None, new: SparsityModel,
-                      n_op: int) -> SparsityModel:
-    if prev is None:
-        return new
-    scale = dict(prev.byte_scale)
-    for k, v in new.byte_scale.items():
-        scale[k] = scale.get(k, 1.0) * v
-    return SparsityModel(
-        effective_ops=prev.effective_ops * new.effective_ops / n_op,
-        byte_scale=scale,
-        bandwidth_penalty=prev.bandwidth_penalty * new.bandwidth_penalty,
-    )
-
-
-def scenario_traffic(loaded: LoadedScenario, count=None) -> Traffic:
-    """The traffic stage: apply the transform chain left to right, then
-    count the accesses of the result (``count`` as in
-    ``mapped_traffic``)."""
-    arch, wl, mapping = loaded.arch, loaded.workload, loaded.mapping
-    sparsity: SparsityModel | None = None
-    for t in loaded.transforms:
-        if isinstance(t, QuantConfig):
-            arch, wl = apply_quantization(arch, wl, t)
-        elif isinstance(t, SparsityConfig):
-            sparsity = _combine_sparsity(sparsity, apply_sparsity(wl, t), wl.n_op)
-        elif isinstance(t, ImcMacro):
-            bundle = imc_macro_as_arch(t)
-            arch = arch._replace(array=bundle.array)
-            if mapping is None:
-                raise ValueError("an IMC transform needs a concrete mapping")
-            if mapping.pinned_operand not in (None, bundle.pinned_operand):
-                raise ValueError(f"the mapping pins {mapping.pinned_operand!r}, but an "
-                                 f"IMC transform pins {bundle.pinned_operand!r}")
-            if mapping.reload_cycles_per_tile is not None:
-                raise ValueError(
-                    f"the mapping sets reload_cycles_per_tile "
-                    f"{mapping.reload_cycles_per_tile}, but an IMC transform sets the "
-                    f"macro's own ({bundle.reload_cycles_per_tile})")
-            mapping = mapping._replace(
-                pinned_operand=bundle.pinned_operand,
-                reload_cycles_per_tile=bundle.reload_cycles_per_tile,
-            )
-        else:
-            raise TypeError(f"unknown transform {t!r}")
-
-    if mapping is not None:
-        return mapped_traffic(arch, wl, mapping, sparsity, count)
-    if loaded.ai_profile is None:
-        raise ValueError("the scenario needs either 'mapping' or 'ai_profile'")
-    # an AI profile is placed dense: there is no mapped traffic to rescale
-    return intensity_traffic(arch, wl, loaded.ai_profile)
-
-
-def run_scenario(loaded: LoadedScenario, overlap: str | None = None) -> AnalysisResult:
-    """The traffic stage, then the cost stage."""
-    return _evaluate(scenario_traffic(loaded), loaded.label, loaded.ref_level, overlap)
+    return LoadedScenario(scenario.label, arch, wl, mapping, scenario.ai_profile,
+                          scenario.ref_level, scenario.transforms)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +65,7 @@ def render_text(r: AnalysisResult) -> str:
     lines.append(f"scenario: {r.label or wl.name}")
     lines.append(
         f"arch: A_op {_g(arch.array.a_op)} ops/cycle, f_clk {_g(arch.clock)} Hz, "
-        f"E_op {_g(arch.array.energy_per_op)} pJ/op, {r.latency.mode}"
+        f"E_op {_g(arch.array.energy_per_op)} pJ/op, {arch.latency_overlap}"
     )
     lines.append(f"workload: {wl.name}, N_op {wl.n_op} ops")
     if r.effective_ops != wl.n_op:
@@ -220,17 +138,12 @@ def rows_to_csv(fields: tuple[str, ...], rows: list[dict[str, str]]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(fields), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-def _input_density(wl: WorkloadSpec, d: float) -> dict[str, float]:
-    return {op.name: d for op in wl.operands if op.role == INPUT}
 
 
 def _whole(parameter: str, value: float) -> int:
@@ -271,7 +184,7 @@ def apply_sweep_value(loaded: LoadedScenario, parameter: str,
     elif parameter == "density":
         transforms.append(SparsityConfig(
             mode="unstructured",
-            density=_input_density(wl, value),
+            density={op.name: value for op in wl.operands if op.role == INPUT},
             index_bits=0,
         ))
     elif parameter == "P_R":
@@ -306,8 +219,8 @@ def apply_sweep_value(loaded: LoadedScenario, parameter: str,
 SWEEP_FIELDS = ("parameter", "value") + ANALYSIS_FIELDS
 
 
-def run_sweep(loaded: LoadedScenario, parameter: str, values: list[float],
-              overlap: str | None = None) -> list[dict[str, str]]:
+def run_sweep(loaded: LoadedScenario, parameter: str,
+              values: list[float]) -> list[dict[str, str]]:
     """One row per value: the traffic stage, then the cost stage, of the
     swept scenario.  Within this call the accesses are counted once per
     distinct (level count, workload, mapping) the transform chain
@@ -327,8 +240,7 @@ def run_sweep(loaded: LoadedScenario, parameter: str, values: list[float],
     rows = []
     for v in values:  # input order is the output order
         point = apply_sweep_value(loaded, parameter, v)
-        result = _evaluate(scenario_traffic(point, count), point.label, point.ref_level,
-                           overlap)
+        result = _evaluate(scenario_traffic(point, count), point.label, point.ref_level)
         row = {"parameter": parameter, "value": _g(v)}
         row.update(analysis_row(result))
         rows.append(row)

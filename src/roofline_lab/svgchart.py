@@ -17,6 +17,7 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 30, 30, 55
 
 SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 POINT_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+XLABEL = "arithmetic intensity (ops/byte)"
 
 
 class _LogScale:
@@ -39,7 +40,6 @@ def emit_svg(
     points: list[tuple[str, float, float]],
     path: str | Path,
     ylabel: str = "ops/cycle",
-    xlabel: str = "arithmetic intensity (ops/byte)",
 ) -> None:
     """Write a log-log chart: one polyline per curve with its knees
     marked, one labelled dot per operating point."""
@@ -94,7 +94,7 @@ def emit_svg(
     )
     out.append(
         f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.1f}" y="{HEIGHT - 12}" '
-        f'font-size="13" text-anchor="middle">{xlabel}</text>'
+        f'font-size="13" text-anchor="middle">{XLABEL}</text>'
     )
     out.append(
         f'<text x="16" y="{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.1f}" font-size="13" '

@@ -289,8 +289,8 @@ class ImcArchBundle(NamedTuple):
     """An IMC macro expressed as mapping-engine inputs.
 
     The compute array spans (rows x cols); weights live in the bit
-    cells, so the mapping must pin the weight operand (zero L1 traffic
-    for it) and pay ``reload_cycles_per_tile`` serialized cycles per
+    cells, so the mapping must pin the weight operand ``W`` (zero L1
+    traffic for it) and pay ``reload_cycles_per_tile`` serialized cycles per
     weight tile unless reloads are overlapped.
     """
 
@@ -299,7 +299,7 @@ class ImcArchBundle(NamedTuple):
     reload_cycles_per_tile: int | None
 
 
-def imc_macro_as_arch(m: ImcMacro, weight_operand: str = "W") -> ImcArchBundle:
+def imc_macro_as_arch(m: ImcMacro) -> ImcArchBundle:
     array = ComputeArray(
         dims=(("row", m.rows), ("col", m.cols)),
         energy_per_op=m.energy_per_op * (1.0 + m.adc_overhead),
@@ -309,7 +309,7 @@ def imc_macro_as_arch(m: ImcMacro, weight_operand: str = "W") -> ImcArchBundle:
         reload = math.ceil(m.rows / m.weight_write_rows_per_cycle)
     return ImcArchBundle(
         array=array,
-        pinned_operand=weight_operand,
+        pinned_operand="W",
         reload_cycles_per_tile=reload,
     )
 

@@ -215,9 +215,8 @@ def test_criterion_7_sparsity_identity_and_direction(fig3_arch):
             mode="unstructured", density={"W": 1.0, "I": 1.0},
             index_bits=0, utilization_penalty=1.0,
         )
-        identity = apply_sparsity(wl, identity_cfg)
         same = analyze_mapping(fig3_arch, wl, mapping, label="d",
-                               sparsity=identity)
+                               transforms=(identity_cfg,))
         assert same.profile.n_bytes == dense.profile.n_bytes
         assert same.ai == dense.ai
         assert same.e_task_pj == dense.e_task_pj
@@ -236,9 +235,8 @@ def test_criterion_7_sparsity_identity_and_direction(fig3_arch):
         # both the effective intensity and the attained rate drop
         low_cfg = SparsityConfig(mode="unstructured", density={"W": 0.0039},
                                  index_bits=32, utilization_penalty=0.5)
-        low = apply_sparsity(wl, low_cfg)
         sparse = analyze_mapping(fig3_arch, wl, mapping, label="s",
-                                 sparsity=low)
+                                 transforms=(low_cfg,))
         assert sparse.point.ai_ref < dense.point.ai_ref
         assert sparse.point.ops_per_cycle < dense.point.ops_per_cycle
         for li in dense.ai:

@@ -425,6 +425,16 @@ class TestSweep:
                                   "--param", "dim:row", "--values", "4,2")
         assert code == 0
 
+    @pytest.mark.parametrize("values", ["-1e3", "-1,-2", "-inf"])
+    def test_a_list_starting_with_minus_reaches_the_knob(self, capsys, values):
+        # argparse took these for options and exited 2, naming --values
+        args = ("sweep", "--scenario", scenario_arg("gemm_dense.scenario"), "--param", "B_L2")
+        joined = run(*args, f"--values={values}") + (capsys.readouterr().err,)
+        code, out, err = run(*args, "--values", values) + (capsys.readouterr().err,)
+        assert (code, out, err) == joined
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and "L2" in err
+
     def test_csv_is_deterministic(self):
         args = ("sweep", "--scenario", scenario_arg("fig3_ai16.scenario"),
                 "--param", "B_L3", "--values", "8,16")
@@ -476,6 +486,31 @@ class TestTransformChains:
                              "--overlap", overlap)
             assert code == 0
             assert text.splitlines()[1].endswith(f"pJ/op, {overlap}")
+
+    def test_every_verb_runs_the_architecture_overlap_rewrites(self):
+        from roofline_lab.report import (ANALYSIS_FIELDS, SWEEP_FIELDS, analysis_row,
+                                         apply_sweep_value, render_text, rows_to_csv,
+                                         run_scenario)
+
+        def serialized(path):
+            loaded = load_scenario(parse_scenario(path))
+            return loaded._replace(arch=loaded.arch._replace(latency_overlap="serialized"))
+
+        paths = [scenario_arg(f"{n}.scenario") for n in ("gemm_dense", "imc256")]
+        flag = ("--overlap", "serialized")
+        compare = ("compare", "--scenario", paths[0], "--scenario", paths[1])
+        assert run(*compare, *flag) == (0, rows_to_csv(ANALYSIS_FIELDS, [
+            analysis_row(run_scenario(serialized(p))) for p in paths]))
+        assert run(*compare)[1] != run(*compare, *flag)[1]
+        sweep = ("sweep", "--scenario", paths[0], "--param", "B_L2", "--values", "8,16")
+        assert run(*sweep, *flag) == (0, rows_to_csv(SWEEP_FIELDS, [
+            {"parameter": "B_L2", "value": v,
+             **analysis_row(run_scenario(apply_sweep_value(serialized(paths[0]), "B_L2",
+                                                           float(v))))}
+            for v in ("8", "16")]))
+        assert run(*sweep)[1] != run(*sweep, *flag)[1]
+        assert run("analyze", "--scenario", paths[1], *flag) == (
+            0, render_text(run_scenario(serialized(paths[1]))))
 
     def test_lowered_a_op_sweep_prints_a_row(self):
         code, out = run("sweep", "--scenario", scenario_arg("gemm_dense.scenario"),

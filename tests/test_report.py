@@ -48,13 +48,48 @@ class TestSweepRows:
     @pytest.mark.parametrize("name, knob", CASES)
     def test_rows_equal_the_per_point_reference(self, name, knob, overlap):
         loaded = _scenario(name)
+        loaded = loaded._replace(arch=loaded.arch._replace(latency_overlap=overlap))
         values = _sweeps(loaded)[knob]
         expected = []
         for v in values:
-            r = report.run_scenario(report.apply_sweep_value(loaded, knob, v), overlap)
+            r = report.run_scenario(report.apply_sweep_value(loaded, knob, v))
             expected.append({"parameter": knob, "value": report._g(v),
                              **report.analysis_row(r)})
-        assert report.run_sweep(loaded, knob, values, overlap) == expected
+        assert report.run_sweep(loaded, knob, values) == expected
+
+
+class TestOnePath:
+    """The library entry points run the scenario pipeline: called with a
+    loaded scenario's fields, they report what ``run_scenario`` of that
+    scenario reports, in either latency mode."""
+
+    @pytest.mark.parametrize("overlap", ["overlapped", "serialized"])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_entry_point_reports_what_run_scenario_reports(self, name, overlap):
+        loaded = _scenario(name)
+        loaded = loaded._replace(arch=loaded.arch._replace(latency_overlap=overlap))
+        arch, wl = loaded.arch, loaded.workload
+        if loaded.mapping is None:
+            assert loaded.transforms == ()
+            r = analysis.analyze_intensities(arch, wl, loaded.ai_profile, label=loaded.label,
+                                             ref_level=loaded.ref_level)
+        else:
+            r = analysis.analyze_mapping(arch, wl, loaded.mapping, label=loaded.label,
+                                         ref_level=loaded.ref_level,
+                                         transforms=loaded.transforms)
+        expected = report.run_scenario(loaded)
+        assert report.render_text(r) == report.render_text(expected)
+        assert report.analysis_row(r) == report.analysis_row(expected)
+        assert r.arch.latency_overlap == overlap
+
+    @pytest.mark.parametrize("name", ["gemm_2to4", "imc256"])
+    def test_analyze_mapping_applies_the_chain(self, name):
+        loaded = _scenario(name)
+        assert loaded.transforms
+        chained = analysis.analyze_mapping(loaded.arch, loaded.workload, loaded.mapping,
+                                           transforms=loaded.transforms)
+        bare = analysis.analyze_mapping(loaded.arch, loaded.workload, loaded.mapping)
+        assert report.analysis_row(chained) != report.analysis_row(bare)
 
 
 class TestOneCountPerSweep:

@@ -84,8 +84,8 @@ class TestTaskLatency:
     def test_serialized_at_least_overlapped(self, fig3_arch, ref_workload,
                                             ref_profile):
         o = task_latency(fig3_arch, ref_workload, ref_profile)
-        s = task_latency(fig3_arch, ref_workload, ref_profile,
-                         overlap="serialized")
+        s = task_latency(fig3_arch._replace(latency_overlap="serialized"), ref_workload,
+                         ref_profile)
         assert s.cycles >= o.cycles
         assert s.cycles == pytest.approx(16 + 4 + 1 + 1, rel=1e-12)
 
@@ -162,6 +162,12 @@ SCENARIOS = ("fig3_ai16", "gemm_2to4", "gemm_dense", "imc256")
 
 def _scenario(name):
     return report.load_scenario(parse_scenario(fixture_path(f"{name}.scenario")))
+
+
+def _serialized(loaded):
+    """The scenario on serialized hardware, as ``--overlap serialized``
+    writes it."""
+    return loaded._replace(arch=loaded.arch._replace(latency_overlap="serialized"))
 
 
 class TestSamples:
@@ -368,29 +374,27 @@ CORE_SPLITS = {
 }
 
 
-def _core_split_result(name, overlap=None):
+def _core_split_result(name, overlap="overlapped"):
     levels, nest, split = CORE_SPLITS[name]
-    arch = make_arch(levels, dims=(("row", 8), ("col", 8)))
+    arch = make_arch(levels, dims=(("row", 8), ("col", 8)), overlap=overlap)
     mapping = plain_mapping(nest, spatial=[unroll("row", "C", 8), unroll("col", "K", 8)],
                             cores=2, core_split=(split, 2))
-    return analyze_mapping(arch, gemm(64, 32, 32), mapping, label=name, overlap=overlap)
+    return analyze_mapping(arch, gemm(64, 32, 32), mapping, label=name)
 
 
-def _swept(name, param, value, overlap=None):
-    loaded = report.apply_sweep_value(_scenario(name), param, value)
-    return report.run_scenario(loaded, overlap)
+def _swept(name, param, value):
+    return report.run_scenario(report.apply_sweep_value(_scenario(name), param, value))
 
 
-def _pinned_with_reloads(overlap=None):
+def _pinned_with_reloads():
     loaded = _scenario("gemm_dense")
-    loaded = loaded._replace(
+    return loaded._replace(
         mapping=loaded.mapping._replace(pinned_operand="W", reload_cycles_per_tile=3))
-    return report.run_scenario(loaded, overlap)
 
 
 CASES = {
     **{n: (lambda n=n: report.run_scenario(_scenario(n))) for n in SCENARIOS},
-    **{f"{n}-serialized": (lambda n=n: report.run_scenario(_scenario(n), "serialized"))
+    **{f"{n}-serialized": (lambda n=n: report.run_scenario(_serialized(_scenario(n))))
        for n in SCENARIOS},
     **{n: (lambda n=n: _core_split_result(n)) for n in CORE_SPLITS},
     **{f"{n}-serialized": (lambda n=n: _core_split_result(n, "serialized"))
@@ -400,8 +404,9 @@ CASES = {
     "gemm_dense-12-bit": lambda: _swept("gemm_dense", "precision", 12),
     "gemm_dense-16-bit": lambda: _swept("gemm_dense", "precision", 16),
     "gemm_2to4-A_op-32": lambda: _swept("gemm_2to4", "A_op", 32.0),
-    "pinned-reloads": _pinned_with_reloads,
-    "pinned-reloads-serialized": lambda: _pinned_with_reloads("serialized"),
+    "pinned-reloads": lambda: report.run_scenario(_pinned_with_reloads()),
+    "pinned-reloads-serialized":
+        lambda: report.run_scenario(_serialized(_pinned_with_reloads())),
 }
 
 
@@ -420,11 +425,12 @@ class TestOneLatencyModel:
         limiting = max(c for name, c in lat.terms if name != "reload")
         assert dict(lat.terms)[lat.limiter] == limiting
         assert r.utilization.temporal == pytest.approx(limiting / lat.cycles, rel=1e-12)
-        assert lat.mode == ("serialized" if case.endswith("serialized") else "overlapped")
+        assert r.arch.latency_overlap == (
+            "serialized" if case.endswith("serialized") else "overlapped")
         assert p.ai_ref == r.ai[p.ref_level]
 
     def test_serialized_gemm_dense_temporal_utilization(self):
-        r = report.run_scenario(_scenario("gemm_dense"), "serialized")
+        r = report.run_scenario(_serialized(_scenario("gemm_dense")))
         # L3 limits at 40 cycles of 32 compute + 13 + 10 + 40 transfer
         assert r.latency.cycles == 95
         assert f"{r.utilization.temporal:.10g}" == "0.4210526316"
