@@ -10,14 +10,21 @@ across the boundary.  A counter moves only when every counter inside it
 wraps, and wrapping changes each of those, so the key changes exactly
 when a counter at or outside the watcher's deepest relevant one moves.
 The watcher's fetch events are therefore the states of those outer
-counters, in walk order: the walk enumerates them with
-``itertools.product`` and hashes each state's key, instead of stepping
-every iteration.  Only the L1 tiles' states are held in a list; longer
-state sequences are read lazily.  No closed forms: every count is a
-count of enumerated states, so the counts can arbitrate the
-closed-form engine in ``mapping``.  Tile sizes and element widths are
-not counts and come from the extent table built while validating the
-mapping (``model.tile_extents``, which the closed forms read too) and
+counters, in walk order, enumerated with ``itertools.product`` instead
+of stepping every iteration.  Each call reads only the states its result
+depends on.  A revisit check hashes a watcher's keys up to the first
+repeat, and only when something reads that flag: ``enumerate_accesses``
+reports every watcher's, ``simulate_cycles`` reads only the outputs'
+(their element widths).  A key of every counter it reads is the whole
+state, which never repeats, so that check reads nothing.  Totals count
+the states of a watcher's counters, or its states in one L1 tile times
+the tiles; only the overlapped pipeline lists loads per tile, one list
+per (level, depth) at the summed bytes of the watchers that fire
+together.  No closed forms: every count is a count of enumerated
+states, so the counts can arbitrate the closed-form engine in
+``mapping``.  Tile sizes and element widths are not counts and come
+from the extent table built while validating the mapping
+(``model.tile_extents``, which the closed forms read too) and
 ``mapping.output_bytes_per_element``.
 
 ``simulate_cycles`` replays the same walk as a discrete pipeline over
@@ -33,6 +40,7 @@ desk-scale oracle, not a simulator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import accumulate, chain, product, repeat, tee
 from operator import add, itemgetter, mul, ne, truediv
 from typing import NamedTuple
@@ -76,6 +84,11 @@ def _moved(states, depth: int):
     return map(ne, heads, chain((None,), previous))
 
 
+def _count(ranges) -> int:
+    """The number of states of counters over ``ranges``, enumerated."""
+    return sum(1 for _ in product(*ranges))
+
+
 def _repeats(keys) -> bool:
     """Whether a key repeats, reading ``keys`` up to the first repeat."""
     seen: set = set()
@@ -87,7 +100,8 @@ def _repeats(keys) -> bool:
 
 
 class _Walk:
-    """Shared literal walk over the temporal nest, one L1 tile at a time."""
+    """The fetch states of one mapped nest, read only as far as a call
+    needs them."""
 
     def __init__(self, arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec,
                  cap: int):
@@ -108,54 +122,52 @@ class _Walk:
         moving = [(lv, d, t) for lv, d, t in reversed(nest) if t > 1]
         self.ranges = [range(t) for _, _, t in moving]
         self.n_outer = sum(lv >= 2 for lv, _, _ in moving)
-        # watchers: per (operand, boundary) the counters whose values
-        # identify the resident tile
-        self.watchers: list[tuple[str, int]] = []
-        self.positions: list[tuple[int, ...]] = []
+        self.tiles = list(product(*self.ranges[:self.n_outer]))
+        # watchers: per (boundary, operand) the counters whose values
+        # identify the resident tile, the relevant ones among the first
+        # ends[b] (those at levels >= b); it fires on every state of the
+        # counters [0, depth), depth being one past its deepest
+        ends = {b: sum(lv >= b for lv, _, _ in moving) for b in self.boundaries}
+        self.positions: dict[tuple[int, str], tuple[int, ...]] = {}
+        self.depths: dict[tuple[int, str], int] = {}
         for op in wl.operands:
-            rel = [(j, lv) for j, (lv, d, _) in enumerate(moving) if d in op.relevant]
+            rel = [j for j, (_, d, _) in enumerate(moving) if d in op.relevant]
             for b in self.boundaries:
-                self.watchers.append((op.name, b))
-                self.positions.append(tuple(j for j, lv in rel if lv >= b))
+                pos = self.positions[(b, op.name)] = tuple(rel[:bisect_left(rel, ends[b])])
+                self.depths[(b, op.name)] = pos[-1] + 1 if pos else 0
+        self._revisits: dict[tuple[int, ...], bool] = {}  # per position tuple, on first read
 
-    def run(self) -> None:
-        """Enumerate every watcher's fetch states, setting the event
-        counts, in total and per tile."""
-        ranges, n_outer = self.ranges, self.n_outer
-        tiles = list(product(*ranges[:n_outer]))  # one state per L1 tile
-        inner = ranges[n_outer:]  # the counters that move inside one tile
-        steps = sum(1 for _ in product(*inner))
-        # A watcher fires on every state of its counters [0, depth).  At
-        # or outside the tile loops that is once in each tile its
-        # counters moved into (True) and never in the others (False);
-        # inside them, once per state of its inner counters, alike in
-        # every tile.
-        depths = [pos[-1] + 1 if pos else 0 for pos in self.positions]
-        per_tile = {}
-        for depth in dict.fromkeys(depths):
-            if depth <= n_outer:
-                per_tile[depth] = list(_moved(tiles, depth))
-            else:
-                fired = sum(1 for _ in product(*inner[:depth - n_outer]))
-                per_tile[depth] = [fired] * len(tiles)
-        # one tile id per fetch state; a single state never repeats
-        revisits = {
-            pos: bool(pos) and _repeats(map(itemgetter(*pos), product(*ranges[:depth])))
-            for pos, depth in dict(zip(self.positions, depths)).items()
-        }
+    def fired(self, depth: int) -> int:
+        """Fetch states in one L1 tile of a watcher inside the tile
+        loops: the states of its inner counters, alike in every tile."""
+        return _count(self.ranges[self.n_outer:depth])
 
-        self.n_tiles = len(tiles)
-        self.tile_steps = steps  # alike in every tile
-        self.tile_event_counts = {
-            (b, name): per_tile[depth] for (name, b), depth in zip(self.watchers, depths)
-        }
-        totals = {depth: sum(c) for depth, c in per_tile.items()}
-        self.events = {
-            (b, name): totals[depth] for (name, b), depth in zip(self.watchers, depths)
-        }
-        self.revisited = {
-            (b, name): revisits[pos] for (name, b), pos in zip(self.watchers, self.positions)
-        }
+    def per_tile(self, depth: int):
+        """Per L1 tile, the fetch states of a watcher on counters
+        [0, depth): at or outside the tile loops, once in each tile its
+        counters moved into (True) and never in the others (False)."""
+        if depth <= self.n_outer:
+            return _moved(self.tiles, depth)
+        return repeat(self.fired(depth), len(self.tiles))
+
+    def count(self, depth: int) -> int:
+        """The fetch states of ``per_tile(depth)`` in total: at or
+        outside the tile loops, the states of its counters."""
+        if depth <= self.n_outer:
+            return _count(self.ranges[:depth])
+        return self.fired(depth) * len(self.tiles)
+
+    def revisited(self, key: tuple[int, str]) -> bool:
+        """Whether the watcher's tile id repeats over its fetch states.
+        A key of every counter [0, depth) (or of none) is the whole
+        state, which never repeats; other keys are read on first ask."""
+        pos = self.positions[key]
+        if len(pos) == self.depths[key]:
+            return False
+        if pos not in self._revisits:
+            states = product(*self.ranges[:self.depths[key]])
+            self._revisits[pos] = _repeats(map(itemgetter(*pos), states))
+        return self._revisits[pos]
 
     def event_bytes(self) -> dict[tuple[int, str], float]:
         """Bytes per single event, fixed per (boundary, operand)."""
@@ -164,9 +176,9 @@ class _Walk:
             for b in self.boundaries:
                 elements = tile_elements(self.extents[b - 1], op)
                 if op.role == OUTPUT:
-                    factor = 2 if self.revisited[(b, op.name)] else 1
+                    factor = 2 if self.revisited((b, op.name)) else 1
                     bpe = output_bytes_per_element(
-                        op, b, self.revisited.get((b - 1, op.name), False))
+                        op, b, b > 1 and self.revisited((b - 1, op.name)))
                 else:
                     factor = 1
                     bpe = op.bytes_per_element
@@ -185,13 +197,13 @@ def enumerate_accesses(
     """Count every boundary crossing by enumerating, per watcher, the
     states of the nest's counters that change its tile."""
     walk = _Walk(arch, wl, mapping, cap)
-    walk.run()
+    counts = {depth: walk.count(depth) for depth in dict.fromkeys(walk.depths.values())}
+    events = {key: counts[depth] for key, depth in walk.depths.items()}
     per_event = walk.event_bytes()
-    total_bytes = {key: walk.events[key] * per_event[key] for key in walk.events}
     return EnumerationTrace(
-        events=dict(walk.events),
-        bytes=total_bytes,
-        revisited=dict(walk.revisited),
+        events=events,
+        bytes={key: n * per_event[key] for key, n in events.items()},
+        revisited={key: walk.revisited(key) for key in events},
     )
 
 
@@ -212,40 +224,42 @@ def simulate_cycles(
     total is exactly the sum of per-resource busy cycles.
     """
     walk = _Walk(arch, wl, mapping, cap)
-    walk.run()
     per_event = walk.event_bytes()
-
-    n_tiles = walk.n_tiles
-    passes = fold_passes(arch, mapping)
-
-    # per-tile loads, summed per level in watcher order
-    tile_compute = walk.tile_steps * passes
-    level_bytes: dict[int, list[float]] = {
-        b: [0.0] * n_tiles for b in walk.boundaries
-    }
-    for key, counts in walk.tile_event_counts.items():
-        b = key[0]
-        level_bytes[b] = list(map(add, level_bytes[b],
-                                  map(mul, counts, repeat(per_event[key]))))
+    n_tiles = len(walk.tiles)
+    tile_compute = walk.fired(len(walk.ranges)) * fold_passes(arch, mapping)
+    # the watchers at one (level, depth) fire together: one load each
+    loads: dict[tuple[int, int], float] = {}
+    for key, depth in walk.depths.items():
+        loads[key[0], depth] = loads.get((key[0], depth), 0.0) + per_event[key]
 
     busy: dict[str, float] = {"compute": float(tile_compute * n_tiles)}
-    for b in walk.boundaries:
-        busy[arch.level(b).name] = sum(level_bytes[b]) / arch.level(b).bandwidth
-
     if not overlap:
+        level_bytes = dict.fromkeys(walk.boundaries, 0.0)
+        for (b, depth), nbytes in loads.items():
+            level_bytes[b] += walk.count(depth) * nbytes
+        for b in walk.boundaries:
+            busy[arch.level(b).name] = level_bytes[b] / arch.level(b).bandwidth
         total = busy["compute"] + sum(
             busy[arch.level(b).name] for b in walk.boundaries
         )
         return CycleSimResult(cycles=total, busy=busy, n_tiles=n_tiles)
 
-    # overlapped: per-level prefetch pipelines feed a compute stage that
+    # overlapped: the same loads per L1 tile, one pass per (level, depth)
+    tile_bytes = {b: [0.0] * n_tiles for b in walk.boundaries}
+    for (b, depth), nbytes in loads.items():
+        tile_bytes[b] = list(map(add, tile_bytes[b],
+                                 map(mul, walk.per_tile(depth), repeat(nbytes))))
+    for b in walk.boundaries:
+        busy[arch.level(b).name] = sum(tile_bytes[b]) / arch.level(b).bandwidth
+
+    # per-level prefetch pipelines feed a compute stage that
     # is itself bounded by L1 streaming.  Each upper level's data for
     # tile t is ready once it has moved every tile up to t.
-    ready = [accumulate(map(truediv, level_bytes[b], repeat(arch.level(b).bandwidth)))
+    ready = [accumulate(map(truediv, tile_bytes[b], repeat(arch.level(b).bandwidth)))
              for b in walk.boundaries[1:]]
     data_ready = map(max, zip(*ready)) if ready else repeat(0.0)
     stages = map(max, repeat(float(tile_compute)),
-                 map(truediv, level_bytes[1], repeat(arch.level(1).bandwidth)))
+                 map(truediv, tile_bytes[1], repeat(arch.level(1).bandwidth)))
     finish = 0.0
     for data, stage in zip(data_ready, stages):
         finish = max(data, finish) + stage

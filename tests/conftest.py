@@ -27,6 +27,13 @@ def gemm(b: int, c: int, k: int, name: str = "gemm") -> WorkloadSpec:
     )
 
 
+def gemm_bias(b: int, c: int, k: int, name: str = "gemm_bias") -> WorkloadSpec:
+    """``gemm`` plus a third input, bias[k], added to every output row."""
+    wl = gemm(b, c, k, name)
+    w, i, o = wl.operands
+    return wl._replace(operands=(w, i, OperandSpec("Bias", "input", ("K",)), o))
+
+
 def conv7(b, k, c, oy, ox, fy, fx, name: str = "conv") -> WorkloadSpec:
     """7-dim convolution nest; halo effects ignored, so input relevance
     is {B, C, OY, OX, FY, FX}."""

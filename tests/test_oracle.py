@@ -23,7 +23,7 @@ from roofline_lab.mapping import fold_passes, output_bytes_per_element
 from roofline_lab.model import OUTPUT, tile_elements, tile_extents
 from roofline_lab.oracle import CycleSimResult, EnumerationTrace
 
-from conftest import conv7, gemm, make_arch, plain_mapping, unroll
+from conftest import conv7, gemm, gemm_bias, make_arch, plain_mapping, unroll
 
 
 def single_level():
@@ -253,13 +253,13 @@ def footprint_bytes(wl, mapping, level):
 @st.composite
 def nests(draw, max_moving=6):
     """A valid (arch, workload, mapping, per-level trips) of 1-4 levels:
-    a GEMM or 7-dim conv whose dim sizes follow from the mapping, with
-    trip-1 filler loops, spatial unrolls (some folding the array), an
-    optional core split over as many or more cores, optionally a
-    pinned W with a reload cost, and some levels bounded at their
-    summed tile footprint or one byte above it."""
-    conv = draw(st.booleans())
-    dims = CONV_DIMS if conv else GEMM_DIMS
+    a GEMM, a GEMM+bias or a 7-dim conv whose dim sizes follow from the
+    mapping, with trip-1 filler loops, spatial unrolls (some folding the
+    array), an optional core split over as many or more cores,
+    optionally a pinned W with a reload cost, and some levels bounded at
+    their summed tile footprint or one byte above it."""
+    kind = draw(st.sampled_from((gemm, gemm_bias, conv7)))
+    dims = CONV_DIMS if kind is conv7 else GEMM_DIMS
     n_levels = draw(st.integers(1, 4))
     rows, cols = draw(st.sampled_from((2, 4))), draw(st.sampled_from((2, 4)))
     level = st.integers(1, n_levels)
@@ -286,7 +286,7 @@ def nests(draw, max_moving=6):
         size[core_split[0]] *= core_split[1]
     for _, d, t in moving:
         size[d] *= t
-    wl = conv7(*(size[d] for d in CONV_DIMS)) if conv else gemm(*(size[d] for d in GEMM_DIMS))
+    wl = kind(*(size[d] for d in dims))
     pinned = draw(st.booleans())
     mapping = plain_mapping(
         temporal, spatial=spatial,
@@ -483,4 +483,22 @@ class TestReferenceWalk:
     @given(nests())
     def test_generated_nests(self, nest):
         arch, wl, mapping, _ = nest
+        assert_walks_like_the_reference(arch, wl, mapping)
+
+    # gemm 2x2x2 over two levels; counters outermost first.  No output
+    # repeats at L2 but not at L1: a counter the L2 key skips, outside
+    # its deepest one, is skipped by the L1 key too.
+    @pytest.mark.parametrize("temporal, expected", [
+        # B, K, C: O is keyed by every counter it reads, at both levels
+        ([[("C", 2)], [("K", 2), ("B", 2)]], {(1, "O"): False, (2, "O"): False}),
+        # B, C, K: O's partial sums cross L1 again, and complete above it
+        ([[("K", 2), ("C", 2)], [("B", 2)]], {(1, "O"): True, (2, "O"): False}),
+        # B, K, C: every W tile comes back to L1; W never moves above it
+        ([[("C", 2), ("K", 2)], [("B", 2)]], {(1, "W"): True, (2, "W"): False}),
+    ], ids=["whole-state-key", "output-repeats-at-L1-only", "input-key-repeats"])
+    def test_revisit_branches(self, temporal, expected):
+        arch, wl = make_arch([(64, 0.1), (16, 1.0)]), gemm(2, 2, 2)
+        mapping = plain_mapping(temporal)
+        revisited = enumerate_accesses(arch, wl, mapping).revisited
+        assert {key: revisited[key] for key in expected} == expected
         assert_walks_like_the_reference(arch, wl, mapping)
