@@ -9,7 +9,7 @@ exactly once fights with keeping every cell busy.
 Run from the repo root:  python3 demos/04_imc_tradeoffs.py
 """
 
-from roofline_lab import ImcMacro, imc_dynamic_range, imc_macro_as_arch, imc_mapping_tradeoff
+from roofline_lab import ImcMacro, apply_imc, imc_dynamic_range, imc_mapping_tradeoff
 from roofline_lab.config_io import fixture_path, parse_scenario
 from roofline_lab.report import load_scenario, run_scenario
 
@@ -22,15 +22,16 @@ for rows, bx, bw in ((1, 1, 1), (256, 1, 1), (256, 4, 4), (1024, 4, 4)):
 print("every extra resolved bit costs readout energy and area")
 
 print("\n=== a 256x256 macro as a mapped architecture ===")
+loaded = load_scenario(parse_scenario(fixture_path("imc256.scenario")))
 macro = ImcMacro(rows=256, cols=256, energy_per_op=0.01, adc_overhead=0.25)
-bundle = imc_macro_as_arch(macro)
-print(f"peak {bundle.array.a_op:g} ops/cycle, "
-      f"{bundle.array.energy_per_op:g} pJ/op with readout overhead")
-print(f"weights pinned in the array ({bundle.pinned_operand}), "
-      f"reload {bundle.reload_cycles_per_tile} cycles per tile")
+arch, mapping = apply_imc(loaded.arch, loaded.mapping, macro)
+print(f"peak {arch.array.a_op:g} ops/cycle, "
+      f"{arch.array.energy_per_op:g} pJ/op with readout overhead")
+print(f"weights pinned in the array ({mapping.pinned_operand}), "
+      f"reload {mapping.reload_cycles_per_tile} cycles per tile")
 print(f"streams {macro.rows} input words and {macro.cols} output words per cycle")
 
-res = run_scenario(load_scenario(parse_scenario(fixture_path("imc256.scenario"))))
+res = run_scenario(loaded)
 u = res.utilization
 print(f"\nshipped scenario '{res.label}': a 128-channel layer on the "
       f"256-wide columns,\n1024-cycle weight residency against a "

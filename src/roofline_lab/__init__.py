@@ -52,7 +52,6 @@ from .roofline import (
     throughput_roofline,
 )
 from .transforms import (
-    ImcArchBundle,
     ImcMacro,
     ImcMappingTradeoff,
     QuantConfig,
@@ -60,10 +59,10 @@ from .transforms import (
     SparsityModel,
     UnsupportedConfigError,
     amdahl_bound,
+    apply_imc,
     apply_quantization,
     apply_sparsity,
     imc_dynamic_range,
-    imc_macro_as_arch,
     imc_mapping_tradeoff,
 )
 

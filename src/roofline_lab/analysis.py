@@ -5,8 +5,9 @@ A ``LoadedScenario`` carries every input of an evaluation; its
 architecture's ``latency_overlap`` is the latency mode.  The stages
 follow the dual roofline, which separates what the mapping fixes from
 what the architecture fixes.  ``scenario_traffic`` applies the
-transform chain and builds a ``Traffic`` record: the counted accesses
-of a concrete mapping, rescaled by any sparsity model, or accesses
+transform chain one pass at a time and builds a ``Traffic`` record:
+the counted accesses of a concrete mapping, compressed by the chain's
+sparsity with its effective op count and de-rating, or accesses
 synthesized from per-level AI (no mapping, ideal utilization), which is
 how roofline positions are studied before a mapping exists.  One
 private evaluator prices that record: both roofs, task energy and
@@ -56,9 +57,9 @@ from .transforms import (
     QuantConfig,
     SparsityConfig,
     SparsityModel,
+    apply_imc,
     apply_quantization,
     apply_sparsity,
-    imc_macro_as_arch,
 )
 
 
@@ -76,13 +77,15 @@ class LoadedScenario(NamedTuple):
 
 class Traffic(NamedTuple):
     """The traffic stage's result, which the cost stage prices: the
-    architecture, workload and mapping after any transforms, the
-    sparsity model and the access profile."""
+    architecture, workload and mapping after every pass, the chain's
+    effective op count and bandwidth de-rating (N_op and 1 when dense)
+    and the access profile, already compressed."""
 
     arch: ArchSpec
     workload: WorkloadSpec
     mapping: MappingSpec | None
-    sparsity: SparsityModel | None
+    effective_ops: float
+    bandwidth_penalty: float
     profile: AccessProfile
 
 
@@ -121,7 +124,7 @@ def _combine_sparsity(prev: SparsityModel | None, new: SparsityModel,
 def scenario_traffic(loaded: LoadedScenario, count: Callable | None = None) -> Traffic:
     """The traffic stage: apply the transform chain left to right, then
     count the mapping's accesses (``count``, else ``count_accesses``) and
-    rescale them by the sparsity model, or synthesize them from AI."""
+    rescale them by the chain's sparsity, or synthesize them from AI."""
     arch, wl, mapping = loaded.arch, loaded.workload, loaded.mapping
     sparsity: SparsityModel | None = None
     for t in loaded.transforms:
@@ -130,30 +133,16 @@ def scenario_traffic(loaded: LoadedScenario, count: Callable | None = None) -> T
         elif isinstance(t, SparsityConfig):
             sparsity = _combine_sparsity(sparsity, apply_sparsity(wl, t), wl.n_op)
         elif isinstance(t, ImcMacro):
-            bundle = imc_macro_as_arch(t)
-            arch = arch._replace(array=bundle.array)
-            if mapping is None:
-                raise ValueError("an IMC transform needs a concrete mapping")
-            if mapping.pinned_operand not in (None, bundle.pinned_operand):
-                raise ValueError(f"the mapping pins {mapping.pinned_operand!r}, but an "
-                                 f"IMC transform pins {bundle.pinned_operand!r}")
-            if mapping.reload_cycles_per_tile is not None:
-                raise ValueError(
-                    f"the mapping sets reload_cycles_per_tile "
-                    f"{mapping.reload_cycles_per_tile}, but an IMC transform sets the "
-                    f"macro's own ({bundle.reload_cycles_per_tile})")
-            mapping = mapping._replace(
-                pinned_operand=bundle.pinned_operand,
-                reload_cycles_per_tile=bundle.reload_cycles_per_tile,
-            )
+            arch, mapping = apply_imc(arch, mapping, t)
         else:
             raise TypeError(f"unknown transform {t!r}")
 
     if mapping is not None:
         profile = (count or count_accesses)(arch, wl, mapping)
-        if sparsity is not None:
-            profile = profile.scaled(sparsity.byte_scale)
-        return Traffic(arch, wl, mapping, sparsity, profile)
+        if sparsity is None:
+            return Traffic(arch, wl, mapping, float(wl.n_op), 1.0, profile)
+        return Traffic(arch, wl, mapping, sparsity.effective_ops, sparsity.bandwidth_penalty,
+                       profile.scaled(sparsity.byte_scale))
     ai = loaded.ai_profile
     if ai is None:
         raise ValueError("the scenario needs either 'mapping' or 'ai_profile'")
@@ -166,18 +155,15 @@ def scenario_traffic(loaded: LoadedScenario, count: Callable | None = None) -> T
     if violations:
         raise InvalidMappingError(violations)
     # an AI profile is placed dense: there is no mapped traffic to rescale
-    return Traffic(arch, wl, None, None, AccessProfile.from_intensities(wl.n_op, ai))
+    return Traffic(arch, wl, None, float(wl.n_op), 1.0,
+                   AccessProfile.from_intensities(wl.n_op, ai))
 
 
 def _evaluate(traffic: Traffic, label: str, ref_level: int | None) -> AnalysisResult:
     """The cost stage: both roofs, task energy and latency, utilization
     and the point (effective ops / L_task against the roofs at the
     reference AI)."""
-    arch, wl, mapping, sparsity, profile = traffic
-    effective_ops, bandwidth_penalty = float(wl.n_op), 1.0
-    if sparsity is not None:
-        effective_ops = sparsity.effective_ops
-        bandwidth_penalty = sparsity.bandwidth_penalty
+    arch, wl, mapping, effective_ops, bandwidth_penalty, profile = traffic
     ref = ref_level if ref_level is not None else min(DEFAULT_REF_LEVEL, arch.n_levels)
     if not 1 <= ref <= arch.n_levels:
         raise ValueError(

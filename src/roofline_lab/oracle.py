@@ -18,11 +18,11 @@ reports every watcher's, ``simulate_cycles`` reads only the outputs'
 (their element widths).  A key of every counter it reads is the whole
 state, which never repeats, so that check reads nothing.  Totals count
 the states of a watcher's counters, or its states in one L1 tile times
-the tiles; only the overlapped pipeline lists loads per tile, one list
-per (level, depth) at the summed bytes of the watchers that fire
-together.  No closed forms: every count is a count of enumerated
-states, so the counts can arbitrate the closed-form engine in
-``mapping``.  Tile sizes and element widths are not counts and come
+the tiles; only the overlapped pipeline lists loads per tile, one
+fetch list per depth, scaled per (level, depth) by the summed bytes of
+the watchers that fire together.  No closed forms: every count is a
+count of enumerated states, so the counts can arbitrate the
+closed-form engine in ``mapping``.  Tile sizes and element widths are not counts and come
 from the extent table built while validating the mapping
 (``model.tile_extents``, which the closed forms read too) and
 ``mapping.output_bytes_per_element``.
@@ -245,10 +245,12 @@ def simulate_cycles(
         return CycleSimResult(cycles=total, busy=busy, n_tiles=n_tiles)
 
     # overlapped: the same loads per L1 tile, one pass per (level, depth)
+    # over each depth's fetch states, listed once
+    fetches = {depth: list(walk.per_tile(depth)) for depth in {d for _, d in loads}}
     tile_bytes = {b: [0.0] * n_tiles for b in walk.boundaries}
     for (b, depth), nbytes in loads.items():
         tile_bytes[b] = list(map(add, tile_bytes[b],
-                                 map(mul, walk.per_tile(depth), repeat(nbytes))))
+                                 map(mul, fetches[depth], repeat(nbytes))))
     for b in walk.boundaries:
         busy[arch.level(b).name] = sum(tile_bytes[b]) / arch.level(b).bandwidth
 

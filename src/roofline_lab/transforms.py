@@ -1,19 +1,18 @@
-"""Cost-model transform passes.
+"""Cost-model transform passes, each one step over the specs:
 
-Each pass rewrites (arch, workload) or derives auxiliary models that
-the analysis layer folds in:
-
-* quantization - rescales peak compute, per-op energy and per-element
-  traffic, either linearly with precision or with bit-serial weight
-  processing where cycles grow with the weight width;
-* sparsity - dense/unstructured/N:M structured, modeled as effective
+* quantization - ``apply_quantization`` returns (arch, workload),
+  rescaling peak compute, per-op energy and per-element traffic,
+  either linearly with precision or with bit-serial weight processing
+  where cycles grow with the weight width;
+* sparsity - ``apply_sparsity`` returns a model that the traffic stage
+  folds in: dense/unstructured/N:M structured, modeled as effective
   operation count (nonzero intersection), per-operand traffic with
   index or block-metadata overhead, and a bandwidth de-rating for the
   lost burstiness of compressed transfers;
-* in-memory compute - an IMC macro as a compute array with weights
-  resident in the bit cells, its accumulation dynamic range, and the
-  storage-vs-compute utilization conflict of fully weight-static
-  mappings;
+* in-memory compute - ``apply_imc`` returns (arch, mapping): an IMC
+  macro as the compute array with weights resident in the bit cells;
+  beside it, its accumulation dynamic range and the storage-vs-compute
+  utilization conflict of fully weight-static mappings;
 * the Amdahl bound on end-to-end speedup.
 """
 
@@ -28,6 +27,7 @@ from .model import (
     OUTPUT,
     ArchSpec,
     ComputeArray,
+    MappingSpec,
     WorkloadSpec,
 )
 
@@ -285,33 +285,30 @@ def imc_dynamic_range(m: ImcMacro) -> ImcDynamicRange:
     return ImcDynamicRange(levels=levels, output_bits=math.ceil(math.log2(levels)))
 
 
-class ImcArchBundle(NamedTuple):
-    """An IMC macro expressed as mapping-engine inputs.
-
-    The compute array spans (rows x cols); weights live in the bit
-    cells, so the mapping must pin the weight operand ``W`` (zero L1
-    traffic for it) and pay ``reload_cycles_per_tile`` serialized cycles per
-    weight tile unless reloads are overlapped.
-    """
-
-    array: ComputeArray
-    pinned_operand: str
-    reload_cycles_per_tile: int | None
-
-
-def imc_macro_as_arch(m: ImcMacro) -> ImcArchBundle:
+def apply_imc(arch: ArchSpec, mapping: MappingSpec | None,
+              m: ImcMacro) -> tuple[ArchSpec, MappingSpec]:
+    """Run the mapping on the macro: its (rows x cols) array, with the
+    readout overhead on the per-op energy, replaces the compute array.
+    Weights live in the bit cells, so the mapping pins ``W`` (zero L1
+    traffic for it) and pays ceil(rows / rows written per cycle)
+    serialized cycles per weight tile unless reloads are overlapped."""
     array = ComputeArray(
         dims=(("row", m.rows), ("col", m.cols)),
         energy_per_op=m.energy_per_op * (1.0 + m.adc_overhead),
     )
-    reload = None
-    if not m.reload_overlapped:
-        reload = math.ceil(m.rows / m.weight_write_rows_per_cycle)
-    return ImcArchBundle(
-        array=array,
-        pinned_operand="W",
-        reload_cycles_per_tile=reload,
-    )
+    reload = None if m.reload_overlapped else math.ceil(m.rows / m.weight_write_rows_per_cycle)
+    if mapping is None:
+        raise ValueError("an IMC transform needs a concrete mapping")
+    if mapping.pinned_operand not in (None, "W"):
+        raise ValueError(f"the mapping pins {mapping.pinned_operand!r}, but an "
+                         f"IMC transform pins 'W'")
+    if mapping.reload_cycles_per_tile is not None:
+        raise ValueError(
+            f"the mapping sets reload_cycles_per_tile "
+            f"{mapping.reload_cycles_per_tile}, but an IMC transform sets the "
+            f"macro's own ({reload})")
+    return (arch._replace(array=array),
+            mapping._replace(pinned_operand="W", reload_cycles_per_tile=reload))
 
 
 class ImcMappingTradeoff(NamedTuple):

@@ -118,6 +118,26 @@ class TestAnalyze:
         assert code == 1 and "Traceback" not in err
         assert "reload_cycles_per_tile 5" in err
 
+    def test_imc_transform_refuses_an_ai_profile(self, tmp_path, capsys):
+        data = json.loads(fixture_path("fig3_ai16.scenario").read_text())
+        data["transforms"] = [{"kind": "imc", "rows": 32, "cols": 32}]
+        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert "an IMC transform needs a concrete mapping" in err
+
+    def test_imc_transform_refuses_a_mapping_that_pins_another_operand(self, tmp_path,
+                                                                      capsys):
+        mapping = json.loads(fixture_path("imc256.map").read_text())
+        mapping["pinned_operand"] = "I"
+        (tmp_path / "pin_i.map").write_text(json.dumps(mapping))
+        data = json.loads(fixture_path("imc256.scenario").read_text())
+        data["mapping"] = str(tmp_path / "pin_i.map")
+        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert "the mapping pins 'I', but an IMC transform pins 'W'" in err
+
     def test_mapping_and_ai_profile_together_is_a_parse_error(self, tmp_path, capsys):
         data = json.loads(fixture_path("gemm_dense.scenario").read_text())
         data["ai_profile"] = {"1": 1000.0, "2": 1000.0, "3": 1000.0}

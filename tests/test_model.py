@@ -13,7 +13,6 @@ from roofline_lab import (
     CycleSimResult,
     EnergyRoofline,
     EnumerationTrace,
-    ImcArchBundle,
     ImcMacro,
     ImcMappingTradeoff,
     InvalidMappingError,
@@ -33,7 +32,6 @@ from roofline_lab import (
     count_accesses,
     energy_roofline,
     enumerate_accesses,
-    imc_macro_as_arch,
     imc_mapping_tradeoff,
     simulate_cycles,
     throughput_roofline,
@@ -386,8 +384,6 @@ RECORDS = [
     (SparsityModel, lambda: SparsityModel(1.0, {"W": 0.5}, 1.0), "bandwidth_penalty", 0.5),
     (ImcMacro, lambda: ImcMacro(rows=64, cols=8), "rows", 32),
     (ImcDynamicRange, lambda: ImcDynamicRange(3, 2), "levels", 5),
-    (ImcArchBundle, lambda: imc_macro_as_arch(ImcMacro(rows=64, cols=8)),
-     "reload_cycles_per_tile", 7),
     (ImcMappingTradeoff, lambda: imc_mapping_tradeoff([(10, 2.0), (20, 1.0)]),
      "storage_optimal_compute_utilization", 0.5),
 ]

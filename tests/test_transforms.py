@@ -1,20 +1,30 @@
 """Quantization, sparsity, in-memory-compute and Amdahl transforms."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roofline_lab import (
+    OUTPUT,
+    ComputeArray,
     ImcMacro,
     QuantConfig,
     SparsityConfig,
     UnsupportedConfigError,
     amdahl_bound,
+    apply_imc,
     apply_quantization,
     analyze_mapping,
     apply_sparsity,
     imc_dynamic_range,
-    imc_macro_as_arch,
     imc_mapping_tradeoff,
+    task_latency,
 )
+from roofline_lab.analysis import scenario_traffic
+from roofline_lab.config_io import fixture_path, parse_scenario
+from roofline_lab.report import load_scenario
 from roofline_lab.transforms import (
     SparsityConfigError,
     quantized_bytes_per_element,
@@ -179,16 +189,30 @@ class TestImc:
         assert imc_dynamic_range(base._replace(input_bits=3)).levels > levels
         assert imc_dynamic_range(base._replace(weight_bits=4)).levels > levels
 
-    def test_macro_bundle_reload_cost_and_adc_energy(self):
-        m = ImcMacro(rows=256, cols=256, energy_per_op=0.01, adc_overhead=0.25)
-        bundle = imc_macro_as_arch(m)
-        assert bundle.reload_cycles_per_tile == 256
-        assert bundle.array.energy_per_op == 0.01 * 1.25
-        assert bundle.pinned_operand == "W"
+    @staticmethod
+    def _apply_imc_keeping_the_rest(arch, mapping, m):
+        """``apply_imc``, checking that it changes only the array, the
+        pinned operand and the reload cost."""
+        arch2, mapping2 = apply_imc(arch, mapping, m)
+        assert (arch2.levels, arch2.clock, arch2.latency_overlap) == (
+            arch.levels, arch.clock, arch.latency_overlap)
+        assert (mapping2.spatial, mapping2.temporal) == (mapping.spatial, mapping.temporal)
+        assert arch2.array.dims == (("row", m.rows), ("col", m.cols))
+        return arch2, mapping2
 
-    def test_overlapped_reload_removes_the_stall(self):
+    def test_macro_bundle_reload_cost_and_adc_energy(self, setup):
+        arch, _, mapping = setup
+        m = ImcMacro(rows=256, cols=256, energy_per_op=0.01, adc_overhead=0.25)
+        arch2, mapping2 = self._apply_imc_keeping_the_rest(arch, mapping, m)
+        assert mapping2.reload_cycles_per_tile == 256
+        assert arch2.array.energy_per_op == 0.01 * 1.25
+        assert mapping2.pinned_operand == "W"
+
+    def test_overlapped_reload_removes_the_stall(self, setup):
+        arch, _, mapping = setup
         m = ImcMacro(rows=256, cols=256, reload_overlapped=True)
-        assert imc_macro_as_arch(m).reload_cycles_per_tile is None
+        _, mapping2 = self._apply_imc_keeping_the_rest(arch, mapping, m)
+        assert mapping2.reload_cycles_per_tile is None
 
     def test_storage_vs_compute_tradeoff_two_layers(self):
         t = imc_mapping_tradeoff([(1000, 1.0), (1000, 16.0)])
@@ -231,3 +255,71 @@ class TestAmdahl:
     def test_domain(self, f):
         with pytest.raises(ValueError):
             amdahl_bound(f)
+
+
+PASSES = (
+    *(QuantConfig(precision_bits={"W": bits}) for bits in (2, 4, 16)),
+    *(SparsityConfig(mode="unstructured", density={"W": d}, utilization_penalty=p)
+      for d in (0.25, 0.5) for p in (1.0, 0.5)),
+    ImcMacro(rows=32, cols=32),
+)
+
+
+class TestOneIdentityPerPassKind:
+    """Appending one pass to a chain over gemm_dense.scenario moves the
+    traffic stage's result only as that pass kind states.  Densities,
+    widths and penalties are powers of two or small dyadic rationals,
+    so every identity holds exactly."""
+
+    @staticmethod
+    def _check_quantization(before, after, t):
+        # events, elements and access factor stay; only the widths move
+        assert {key: entry._replace(bytes_per_element=0.0)
+                for key, entry in after.profile.traffic.items()} == {
+            key: entry._replace(bytes_per_element=0.0)
+            for key, entry in before.profile.traffic.items()}
+        assert (after.effective_ops, after.bandwidth_penalty) == (
+            before.effective_ops, before.bandwidth_penalty)
+
+    @staticmethod
+    def _check_sparsity(before, after, t):
+        wl = before.workload
+        densities = math.prod(t.density.get(op.name, 1.0) for op in wl.operands
+                              if op.role != OUTPUT)
+        assert after.effective_ops == before.effective_ops * densities
+        assert after.bandwidth_penalty == before.bandwidth_penalty * t.utilization_penalty
+        byte_scale = apply_sparsity(wl, t).byte_scale
+        assert after.profile.traffic == {
+            key: entry._replace(
+                bytes_per_element=entry.bytes_per_element * byte_scale.get(key[1], 1.0))
+            for key, entry in before.profile.traffic.items()}
+
+    @staticmethod
+    def _check_imc(before, after, t):
+        w = after.profile.traffic[(1, "W")]
+        assert w.bytes == 0.0
+        assert after.arch.array == ComputeArray(
+            (("row", t.rows), ("col", t.cols)), t.energy_per_op * (1.0 + t.adc_overhead))
+        latency = task_latency(after.arch, after.workload, after.profile, after.mapping,
+                               after.bandwidth_penalty)
+        assert dict(latency.terms)["reload"] == w.events * math.ceil(
+            t.rows / t.weight_write_rows_per_cycle)
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(PASSES), min_size=1, max_size=3))
+    def test_appending_a_pass_moves_only_what_it_states(self, chain):
+        start = load_scenario(parse_scenario(fixture_path("gemm_dense.scenario")))
+        check = {QuantConfig: self._check_quantization, SparsityConfig: self._check_sparsity,
+                 ImcMacro: self._check_imc}
+        applied: tuple = ()
+        before = scenario_traffic(start)
+        for t in chain:
+            loaded = start._replace(transforms=applied + (t,))
+            if isinstance(t, ImcMacro) and any(isinstance(p, ImcMacro) for p in applied):
+                # the first macro set the reload cost the second would set
+                with pytest.raises(ValueError, match="sets reload_cycles_per_tile 32"):
+                    scenario_traffic(loaded)
+                continue
+            after = scenario_traffic(loaded)
+            check[type(t)](before, after, t)
+            applied, before = loaded.transforms, after
