@@ -127,15 +127,21 @@ def scenario_traffic(loaded: LoadedScenario, count: Callable | None = None) -> T
     rescale them by the chain's sparsity, or synthesize them from AI."""
     arch, wl, mapping = loaded.arch, loaded.workload, loaded.mapping
     sparsity: SparsityModel | None = None
-    for t in loaded.transforms:
+    changed = ""  # the first pass that changed the compute array, named
+    for i, t in enumerate(loaded.transforms):
         if isinstance(t, QuantConfig):
             arch, wl = apply_quantization(arch, wl, t)
         elif isinstance(t, SparsityConfig):
             sparsity = _combine_sparsity(sparsity, apply_sparsity(wl, t), wl.n_op)
         elif isinstance(t, ImcMacro):
+            if changed:
+                raise ValueError(f"transforms[{i}] (imc) would replace the array {changed} "
+                                 "changed; no pass may change the array before an imc pass")
             arch, mapping = apply_imc(arch, mapping, t)
         else:
             raise TypeError(f"unknown transform {t!r}")
+        if not changed and arch.array != loaded.arch.array:  # sparsity keeps the array
+            changed = f"transforms[{i}] ({'imc' if isinstance(t, ImcMacro) else 'quantization'})"
 
     if mapping is not None:
         profile = (count or count_accesses)(arch, wl, mapping)

@@ -10,22 +10,24 @@ across the boundary.  A counter moves only when every counter inside it
 wraps, and wrapping changes each of those, so the key changes exactly
 when a counter at or outside the watcher's deepest relevant one moves.
 The watcher's fetch events are therefore the states of those outer
-counters, in walk order, enumerated with ``itertools.product`` instead
-of stepping every iteration.  Each call reads only the states its result
-depends on.  A revisit check hashes a watcher's keys up to the first
-repeat, and only when something reads that flag: ``enumerate_accesses``
-reports every watcher's, ``simulate_cycles`` reads only the outputs'
-(their element widths).  A key of every counter it reads is the whole
-state, which never repeats, so that check reads nothing.  Totals count
-the states of a watcher's counters, or its states in one L1 tile times
-the tiles; only the overlapped pipeline lists loads per tile, one
-fetch list per depth, scaled per (level, depth) by the summed bytes of
-the watchers that fire together.  No closed forms: every count is a
-count of enumerated states, so the counts can arbitrate the
-closed-form engine in ``mapping``.  Tile sizes and element widths are not counts and come
-from the extent table built while validating the mapping
-(``model.tile_extents``, which the closed forms read too) and
-``mapping.output_bytes_per_element``.
+counters [0, depth), in walk order, enumerated with
+``itertools.product`` instead of stepping every iteration.  Every
+counter is a loop of trip >= 2, so a key that skips one of the
+counters [0, depth) repeats (the keyed counters inside it run through
+their states again when it moves), and a key of all of them is the
+whole state, which never does: the revisit flag is that rule, fixed
+per watcher when the walk is built, not a hash of its keys (the
+literal walk in the tests, which hashes every key, arbitrates it).
+The counts are still enumerated, each call reading only the states its
+result depends on: totals count the states of a watcher's counters,
+or its states in one L1 tile times the tiles; only the overlapped
+pipeline lists loads per tile, one fetch list per depth, scaled per
+(level, depth) by the summed bytes of the watchers that fire together.
+No closed forms: every count is a count of enumerated states, so the
+counts can arbitrate the closed-form engine in ``mapping``.  Tile sizes
+and element widths are not counts and come from the extent table built
+while validating the mapping (``model.tile_extents``, which the closed
+forms read too) and ``mapping.output_bytes_per_element``.
 
 ``simulate_cycles`` replays the same walk as a discrete pipeline over
 the L1 tiles, the states of the loops at levels >= 2: every memory
@@ -40,7 +42,6 @@ desk-scale oracle, not a simulator.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from itertools import accumulate, chain, product, repeat, tee
 from operator import add, itemgetter, mul, ne, truediv
 from typing import NamedTuple
@@ -89,18 +90,9 @@ def _count(ranges) -> int:
     return sum(1 for _ in product(*ranges))
 
 
-def _repeats(keys) -> bool:
-    """Whether a key repeats, reading ``keys`` up to the first repeat."""
-    seen: set = set()
-    for key in keys:
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
 class _Walk:
-    """The fetch states of one mapped nest, read only as far as a call
+    """One mapped nest's watchers, each a (depth, revisit) pair fixed by
+    its loop order, and their fetch states, read only as far as a call
     needs them."""
 
     def __init__(self, arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec,
@@ -123,19 +115,18 @@ class _Walk:
         self.ranges = [range(t) for _, _, t in moving]
         self.n_outer = sum(lv >= 2 for lv, _, _ in moving)
         self.tiles = list(product(*self.ranges[:self.n_outer]))
-        # watchers: per (boundary, operand) the counters whose values
-        # identify the resident tile, the relevant ones among the first
-        # ends[b] (those at levels >= b); it fires on every state of the
-        # counters [0, depth), depth being one past its deepest
+        # watchers: per (boundary, operand) its depth, one past the
+        # deepest counter whose value identifies the resident tile (the
+        # relevant ones among those at levels >= b), and whether its key
+        # skips one of the counters [0, depth), so that its tile repeats
         ends = {b: sum(lv >= b for lv, _, _ in moving) for b in self.boundaries}
-        self.positions: dict[tuple[int, str], tuple[int, ...]] = {}
-        self.depths: dict[tuple[int, str], int] = {}
+        self.watchers: dict[tuple[int, str], tuple[int, bool]] = {}
         for op in wl.operands:
             rel = [j for j, (_, d, _) in enumerate(moving) if d in op.relevant]
             for b in self.boundaries:
-                pos = self.positions[(b, op.name)] = tuple(rel[:bisect_left(rel, ends[b])])
-                self.depths[(b, op.name)] = pos[-1] + 1 if pos else 0
-        self._revisits: dict[tuple[int, ...], bool] = {}  # per position tuple, on first read
+                keyed = [j for j in rel if j < ends[b]]
+                depth = keyed[-1] + 1 if keyed else 0
+                self.watchers[(b, op.name)] = (depth, len(keyed) < depth)
 
     def fired(self, depth: int) -> int:
         """Fetch states in one L1 tile of a watcher inside the tile
@@ -157,18 +148,6 @@ class _Walk:
             return _count(self.ranges[:depth])
         return self.fired(depth) * len(self.tiles)
 
-    def revisited(self, key: tuple[int, str]) -> bool:
-        """Whether the watcher's tile id repeats over its fetch states.
-        A key of every counter [0, depth) (or of none) is the whole
-        state, which never repeats; other keys are read on first ask."""
-        pos = self.positions[key]
-        if len(pos) == self.depths[key]:
-            return False
-        if pos not in self._revisits:
-            states = product(*self.ranges[:self.depths[key]])
-            self._revisits[pos] = _repeats(map(itemgetter(*pos), states))
-        return self._revisits[pos]
-
     def event_bytes(self) -> dict[tuple[int, str], float]:
         """Bytes per single event, fixed per (boundary, operand)."""
         out: dict[tuple[int, str], float] = {}
@@ -176,9 +155,9 @@ class _Walk:
             for b in self.boundaries:
                 elements = tile_elements(self.extents[b - 1], op)
                 if op.role == OUTPUT:
-                    factor = 2 if self.revisited((b, op.name)) else 1
+                    factor = 2 if self.watchers[(b, op.name)][1] else 1
                     bpe = output_bytes_per_element(
-                        op, b, b > 1 and self.revisited((b - 1, op.name)))
+                        op, b, b > 1 and self.watchers[(b - 1, op.name)][1])
                 else:
                     factor = 1
                     bpe = op.bytes_per_element
@@ -197,13 +176,13 @@ def enumerate_accesses(
     """Count every boundary crossing by enumerating, per watcher, the
     states of the nest's counters that change its tile."""
     walk = _Walk(arch, wl, mapping, cap)
-    counts = {depth: walk.count(depth) for depth in dict.fromkeys(walk.depths.values())}
-    events = {key: counts[depth] for key, depth in walk.depths.items()}
+    counts = {depth: walk.count(depth) for depth in {d for d, _ in walk.watchers.values()}}
+    events = {key: counts[depth] for key, (depth, _) in walk.watchers.items()}
     per_event = walk.event_bytes()
     return EnumerationTrace(
         events=events,
         bytes={key: n * per_event[key] for key, n in events.items()},
-        revisited={key: walk.revisited(key) for key in events},
+        revisited={key: revisit for key, (_, revisit) in walk.watchers.items()},
     )
 
 
@@ -229,7 +208,7 @@ def simulate_cycles(
     tile_compute = walk.fired(len(walk.ranges)) * fold_passes(arch, mapping)
     # the watchers at one (level, depth) fire together: one load each
     loads: dict[tuple[int, int], float] = {}
-    for key, depth in walk.depths.items():
+    for key, (depth, _) in walk.watchers.items():
         loads[key[0], depth] = loads.get((key[0], depth), 0.0) + per_event[key]
 
     busy: dict[str, float] = {"compute": float(tile_compute * n_tiles)}

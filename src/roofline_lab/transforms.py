@@ -303,10 +303,9 @@ def apply_imc(arch: ArchSpec, mapping: MappingSpec | None,
         raise ValueError(f"the mapping pins {mapping.pinned_operand!r}, but an "
                          f"IMC transform pins 'W'")
     if mapping.reload_cycles_per_tile is not None:
-        raise ValueError(
-            f"the mapping sets reload_cycles_per_tile "
-            f"{mapping.reload_cycles_per_tile}, but an IMC transform sets the "
-            f"macro's own ({reload})")
+        own = "overlaps its reloads" if reload is None else f"sets its own ({reload})"
+        raise ValueError(f"the mapping sets reload_cycles_per_tile "
+                         f"{mapping.reload_cycles_per_tile}, but the IMC macro {own}")
     return (arch._replace(array=array),
             mapping._replace(pinned_operand="W", reload_cycles_per_tile=reload))
 

@@ -116,7 +116,8 @@ class TestAnalyze:
         code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
         err = capsys.readouterr().err
         assert code == 1 and "Traceback" not in err
-        assert "reload_cycles_per_tile 5" in err
+        assert ("the mapping sets reload_cycles_per_tile 5, but the IMC macro sets its own "
+                "(256)") in err
 
     def test_imc_transform_refuses_an_ai_profile(self, tmp_path, capsys):
         data = json.loads(fixture_path("fig3_ai16.scenario").read_text())
@@ -137,6 +138,41 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert code == 1 and "Traceback" not in err
         assert "the mapping pins 'I', but an IMC transform pins 'W'" in err
+
+    def test_imc_transform_refuses_the_mapping_reload_cost_of_an_overlapped_macro(
+            self, tmp_path, capsys):
+        mapping = json.loads(fixture_path("imc256.map").read_text())
+        mapping.update(pinned_operand="W", reload_cycles_per_tile=3)
+        (tmp_path / "reload.map").write_text(json.dumps(mapping))
+        data = json.loads(fixture_path("imc256.scenario").read_text())
+        data["mapping"] = str(tmp_path / "reload.map")
+        data["transforms"][0]["reload_overlapped"] = True
+        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert ("the mapping sets reload_cycles_per_tile 3, but the IMC macro overlaps "
+                "its reloads") in err
+
+    @pytest.mark.parametrize("first, kind", [
+        ({"kind": "quantization", "precision_bits": {"W": 4}}, "quantization"),
+        ({"kind": "imc", "rows": 32, "cols": 32}, "imc"),
+    ])
+    def test_imc_transform_refuses_an_array_an_earlier_pass_changed(self, tmp_path, capsys,
+                                                                    first, kind):
+        data = json.loads(fixture_path("imc256.scenario").read_text())
+        data["transforms"].insert(0, first)
+        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert (f"transforms[1] (imc) would replace the array transforms[0] ({kind}) "
+                "changed; no pass may change the array before an imc pass") in err
+
+    def test_imc_transform_runs_after_a_pass_that_keeps_the_array(self, tmp_path, capsys):
+        # re-quantizing only I leaves the array as it is
+        data = json.loads(fixture_path("imc256.scenario").read_text())
+        data["transforms"].insert(0, {"kind": "quantization", "precision_bits": {"I": 4}})
+        code, _ = run("analyze", "--scenario", str(fixture_scenario(tmp_path, data)))
+        assert code == 0, capsys.readouterr().err
 
     def test_mapping_and_ai_profile_together_is_a_parse_error(self, tmp_path, capsys):
         data = json.loads(fixture_path("gemm_dense.scenario").read_text())

@@ -495,7 +495,11 @@ class TestReferenceWalk:
         ([[("K", 2), ("C", 2)], [("B", 2)]], {(1, "O"): True, (2, "O"): False}),
         # B, K, C: every W tile comes back to L1; W never moves above it
         ([[("C", 2), ("K", 2)], [("B", 2)]], {(1, "W"): True, (2, "W"): False}),
-    ], ids=["whole-state-key", "output-repeats-at-L1-only", "input-key-repeats"])
+        # B, C (trip 1), K, C: the trip-1 C outside K never moves, so O's
+        # keys skip no counter and never repeat
+        ([[("C", 2)], [("K", 2), ("C", 1), ("B", 2)]], {(1, "O"): False, (2, "O"): False}),
+    ], ids=["whole-state-key", "output-repeats-at-L1-only", "input-key-repeats",
+            "trip-1-loop-outside-the-deepest-key"])
     def test_revisit_branches(self, temporal, expected):
         arch, wl = make_arch([(64, 0.1), (16, 1.0)]), gemm(2, 2, 2)
         mapping = plain_mapping(temporal)
