@@ -9,9 +9,8 @@ opposite sides of the two transitions at once.
 Run from the repo root:  python3 demos/01_dual_rooflines.py
 """
 
-from roofline_lab import energy_roofline, task_energy, task_latency, throughput_roofline
+from roofline_lab import analyze_intensities
 from roofline_lab.config_io import fixture_path, parse_arch, parse_workload
-from roofline_lab.mapping import AccessProfile
 from roofline_lab.svgchart import emit_svg
 
 arch = parse_arch(fixture_path("fig3.arch"))
@@ -21,16 +20,19 @@ print(f"array: {arch.array.a_op:g} ops/cycle at {arch.array.energy_per_op} pJ/op
 for lvl in arch.levels:
     print(f"  {lvl.name}: {lvl.bandwidth:g} B/cycle, {lvl.energy_per_byte} pJ/B")
 
-# per-level intensities: the inner level sees 16x more bytes than the
-# reference level, the outer level 16x fewer
-ratios = {1: 1 / 16, 2: 1.0, 3: 16.0}
+# per-level intensities, AI_L2 = 16 at the reference level: the inner
+# level sees 16x more bytes than the reference level, the outer level
+# 16x fewer.  One evaluation places the task and both roofs from them;
+# the roofs depend on the ratios r_i = AI_Li / AI_ref = (1/16, 1, 16)
+# alone, so every AI_ref below reads the same two curves.
+r = analyze_intensities(arch, wl, {1: 1.0, 2: 16.0, 3: 256.0})
 
-tp = throughput_roofline(arch, ratios)
+tp = r.throughput_curve
 knee_ai, knee_level = tp.knees[0]
 print(f"\nthroughput roof: plateau {tp.asymptote:g} ops/cycle, "
       f"knee at AI {knee_ai:g} (limited by {knee_level})")
 
-en = energy_roofline(arch, ratios)
+en = r.energy_curve
 print(f"energy roof: asymptote {en.asymptote:g} ops/pJ")
 for ai, name in en.knees:
     print(f"  {name} energy share matches compute at AI {ai:g}")
@@ -40,17 +42,15 @@ for ai in (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0):
     print(f"{ai:9g}  {tp.value_at(ai):10.1f}  {en.value_at(ai):9.4f}"
           f"   {tp.bound_at(ai):<18}  {en.bound_at(ai)}")
 
-# place one concrete operating point: a 2048-op task at reference AI 16
-profile = AccessProfile.from_intensities(wl.n_op, {1: 1.0, 2: 16.0, 3: 256.0})
-e_task = task_energy(arch, wl, profile)
-lat = task_latency(arch, wl, profile)
-print(f"\n{wl.name}: E_task {e_task:g} pJ, "
+# the concrete operating point: the 2048-op task at reference AI 16
+lat = r.latency
+print(f"\n{wl.name}: E_task {r.e_task_pj:g} pJ, "
       f"L_task {lat.cycles:g} cycles ({lat.seconds * 1e9:g} ns), "
       f"limited by {lat.limiter}")
 
 emit_svg(
     [("throughput roof", tp)],
-    [(wl.name, 16.0, wl.n_op / lat.cycles)],
+    [(wl.name, r.point.ai_ref, r.point.ops_per_cycle)],
     "dual_rooflines.svg",
 )
 print("wrote dual_rooflines.svg")

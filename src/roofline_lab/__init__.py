@@ -47,9 +47,7 @@ from .roofline import (
     OperatingPoint,
     RooflineCurve,
     ThroughputRoofline,
-    energy_roofline,
     task_energy,
-    throughput_roofline,
 )
 from .transforms import (
     ImcMacro,

@@ -10,8 +10,9 @@ the counted accesses of a concrete mapping, compressed by the chain's
 sparsity with its effective op count and de-rating, or accesses
 synthesized from per-level AI (no mapping, ideal utilization), which is
 how roofline positions are studied before a mapping exists.  One
-private evaluator prices that record: both roofs, task energy and
-latency, utilization and the point.  ``run_scenario`` runs both stages,
+private evaluator prices that record from one ``mapping.ledger`` pass:
+both roofs, the latency, the utilization and the point read it, and
+``task_energy`` adds E_task.  ``run_scenario`` runs both stages,
 and ``analyze_mapping`` and ``analyze_intensities`` run a scenario
 built from specs, so ``analyze_mapping(...).point`` is at or below both
 roofs.
@@ -23,7 +24,6 @@ with nonzeros in every sparse input count toward intensity.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 from .mapping import (
@@ -31,7 +31,7 @@ from .mapping import (
     LatencyResult,
     Utilization,
     count_accesses,
-    task_latency,
+    ledger,
     utilization,
 )
 from .model import (
@@ -48,9 +48,7 @@ from .roofline import (
     EnergyRoofline,
     OperatingPoint,
     ThroughputRoofline,
-    energy_roofline,
     task_energy,
-    throughput_roofline,
 )
 from .transforms import (
     ImcMacro,
@@ -166,60 +164,38 @@ def scenario_traffic(loaded: LoadedScenario, count: Callable | None = None) -> T
 
 
 def _evaluate(traffic: Traffic, label: str, ref_level: int | None) -> AnalysisResult:
-    """The cost stage: both roofs, task energy and latency, utilization
-    and the point (effective ops / L_task against the roofs at the
-    reference AI)."""
+    """The cost stage: one ledger pass prices the point, and both roofs,
+    the latency, the utilization and the point (effective ops / L_task
+    against the roofs at the reference AI) read it; ``task_energy`` sums
+    E_task."""
     arch, wl, mapping, effective_ops, bandwidth_penalty, profile = traffic
     ref = ref_level if ref_level is not None else min(DEFAULT_REF_LEVEL, arch.n_levels)
     if not 1 <= ref <= arch.n_levels:
         raise ValueError(
             f"reference level {ref} is outside the architecture's levels 1..{arch.n_levels}"
         )
-    n_bytes = profile.n_bytes
-    ai = {li: (effective_ops / b if b > 0 else math.inf) for li, b in n_bytes.items()}
-    # r_i = AI_Li / AI_ref, from the byte counts alone
-    ratios = {li: (n_bytes[ref] / b if b > 0 else math.inf) for li, b in n_bytes.items()}
-    tp_curve = throughput_roofline(arch, ratios, mapping)
-    e_curve = energy_roofline(arch, ratios)
+    led = ledger(arch, wl, profile, mapping, bandwidth_penalty, ref, effective_ops)
+    latency = led.latency
+    tp_curve = ThroughputRoofline.from_slopes(arch, led.slopes, mapping)
+    e_curve = EnergyRoofline.from_terms(arch, led.energy)
     e_task = task_energy(arch, wl, profile)
-    latency = task_latency(arch, wl, profile, mapping, bandwidth_penalty)
     if mapping is None:
         util = Utilization(1.0, latency.limiting_cycles / latency.cycles, 1.0)
     else:
-        util = utilization(arch, wl, mapping, profile, latency=latency)
+        util = utilization(arch, wl, mapping, profile, latency)
 
-    ai_ref = ai[ref]
+    ai_ref = led.ai[ref]
     ops_per_cycle = effective_ops / latency.cycles
-    ceiling_tp = tp_curve.value_at(ai_ref)
+    ceiling_tp, tp_bound = tp_curve.at(ai_ref)
     if ops_per_cycle > ceiling_tp * (1.0 + REL_TOL):
         raise AssertionError(
             f"attained {ops_per_cycle} ops/cycle exceeds ceiling {ceiling_tp}"
         )
-    point = OperatingPoint(
-        ai_ref=ai_ref,
-        ref_level=ref,
-        ops_per_cycle=ops_per_cycle,
-        attained_efficiency=effective_ops / e_task,
-        throughput_ceiling=ceiling_tp,
-        efficiency_ceiling=e_curve.value_at(ai_ref),
-        throughput_bound=tp_curve.bound_at(ai_ref),
-        energy_bound=e_curve.bound_at(ai_ref),
-    )
-    return AnalysisResult(
-        label=label,
-        arch=arch,
-        workload=wl,
-        mapping=mapping,
-        profile=profile,
-        ai=ai,
-        utilization=util,
-        effective_ops=effective_ops,
-        e_task_pj=e_task,
-        latency=latency,
-        point=point,
-        throughput_curve=tp_curve,
-        energy_curve=e_curve,
-    )
+    ceiling_e, e_bound = e_curve.at(ai_ref)
+    point = OperatingPoint(ai_ref, ref, ops_per_cycle, effective_ops / e_task,
+                           ceiling_tp, ceiling_e, tp_bound, e_bound)
+    return AnalysisResult(label, arch, wl, mapping, profile, led.ai, util, effective_ops,
+                          e_task, latency, point, tp_curve, e_curve)
 
 
 def run_scenario(loaded: LoadedScenario) -> AnalysisResult:

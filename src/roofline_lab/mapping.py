@@ -34,11 +34,18 @@ move at the declared output width.
 ``count_accesses`` finds every boundary's fetch events and pending
 reduction in one walk per operand over the temporal loops, outermost
 first: after the loops of level i, the walk's state answers boundary i.
+
+``ledger`` prices the counts in one pass over the levels: each level's
+latency term, the compute term, reload stalls, the limiter and L_task,
+and against a reference level each level's AI, throughput slope and
+energy term, which ``roofline`` builds the two roofs from.
+``task_latency`` and ``utilization`` read its latency without the roofs.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
 from .model import (
@@ -94,16 +101,10 @@ class AccessProfile(Record):
 
     def scaled(self, byte_scale: dict[str, float]) -> "AccessProfile":
         """A copy with per-operand byte widths rescaled (sparsity model)."""
-        new = {
-            key: OperandTraffic(
-                t.events,
-                t.elements_per_event,
-                t.bytes_per_element * byte_scale.get(key[1], 1.0),
-                t.access_factor,
-            )
-            for key, t in self.traffic.items()
-        }
-        return AccessProfile(self.levels, new)
+        new = tuple.__new__  # as in count_accesses
+        return AccessProfile(self.levels, {
+            key: new(OperandTraffic, (events, elements, bpe * byte_scale.get(key[1], 1.0), factor))
+            for key, (events, elements, bpe, factor) in self.traffic.items()})
 
     @classmethod
     def from_intensities(
@@ -288,16 +289,25 @@ class LatencyResult(NamedTuple):
         return dict(self.terms)[self.limiter]
 
 
-def task_latency(
-    arch: ArchSpec,
-    wl: WorkloadSpec,
-    profile: AccessProfile,
-    mapping: MappingSpec | None = None,
-    bandwidth_penalty: float = 1.0,
-) -> LatencyResult:
-    """Task latency from one list of (resource, cycles) terms.
+class Ledger(NamedTuple):
+    """One design point's cost per level, from one pass over the levels:
+    the latency with its terms and the compute term, and, priced against
+    a reference level, each level's AI and the two roofs' per-level
+    entries (empty without one)."""
 
-    Each level moves its bytes at its bandwidth times the de-rating
+    latency: LatencyResult
+    compute: float  # cycles
+    ai: dict[int, float]  # AI_Li = effective ops / N_Li
+    slopes: dict[str, float]  # r_i * B_Li, the L1 slope times the active cores
+    energy: dict[str, float]  # E_Li / r_i, levels that cost energy
+
+
+def ledger(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile,
+           mapping: MappingSpec | None = None, bandwidth_penalty: float = 1.0,
+           ref: int | None = None, effective_ops: float = 0.0) -> Ledger:
+    """Price a design point in one loop over ``arch.levels``.
+
+    Level i moves N_Li bytes at its bandwidth times the de-rating
     ``bandwidth_penalty``; L1 is replicated per core, so active cores
     drain its traffic in parallel while levels above it are shared.
     Compute takes N_op/A_op cycles without a mapping, and with one a
@@ -306,46 +316,66 @@ def task_latency(
     nothing else.  Overlapped: the slowest resource hides the rest and
     the limiter names it.  Serialized: the terms add.  Serialized weight
     reloads add to either.
+
+    With a reference level ``ref``, the same loop prices the roofs:
+    AI_Li, and for each level that moves bytes r_i = N_ref/N_Li =
+    AI_Li/AI_ref, its throughput slope r_i * B_Li (L1 times the active
+    cores) and, if it costs energy, its energy term E_Li/r_i.
     """
     cores = active_cores(mapping) if mapping is not None else 1
     n_bytes = profile.n_bytes
-    terms = [
-        (lvl.name, n_bytes[lvl.level_index]
-         / (lvl.bandwidth * bandwidth_penalty * (cores if lvl.level_index == 1 else 1)))
-        for lvl in arch.levels
-    ]
+    n_ref = n_bytes[ref] if ref is not None else None
+    terms: list[tuple[str, float]] = []
+    ai, slopes, energy = {}, {}, {}  # filled only against a reference level
+    for lvl in arch.levels:
+        li, name, bandwidth = lvl.level_index, lvl.name, lvl.bandwidth
+        b = n_bytes[li]
+        share = cores if li == 1 else 1
+        terms.append((name, b / (bandwidth * bandwidth_penalty * share)))
+        if n_ref is None:
+            continue
+        if b > 0:
+            ai[li] = effective_ops / b
+            r = n_ref / b
+            slopes[name] = r * bandwidth * share
+            if lvl.energy_per_byte > 0:
+                energy[name] = lvl.energy_per_byte / r
+        else:
+            ai[li] = math.inf
     if mapping is None:
-        terms.append((COMPUTE, wl.n_op / arch.array.a_op))
+        compute = wl.n_op / arch.array.a_op
         stalls = 0.0
     else:
-        terms.append((COMPUTE, temporal_steps(arch, mapping) / arch.array.throughput_scale))
+        compute = temporal_steps(arch, mapping) / arch.array.throughput_scale
         stalls = float(reload_stall_cycles(profile, mapping))
-    limiter, cycles = max(terms, key=lambda kv: kv[1])
+    terms.append((COMPUTE, compute))
+    limiter, cycles = max(terms, key=itemgetter(1))
     if arch.latency_overlap == SERIALIZED:
-        cycles = sum(c for _, c in terms)
+        cycles = sum([c for _, c in terms])
     if stalls:
         terms.append((RELOAD, stalls))
         cycles += stalls
-    return LatencyResult(cycles / arch.clock, cycles, limiter, tuple(terms))
+    latency = LatencyResult(cycles / arch.clock, cycles, limiter, tuple(terms))
+    return Ledger(latency, compute, ai, slopes, energy)
 
 
-def utilization(
-    arch: ArchSpec,
-    wl: WorkloadSpec,
-    mapping: MappingSpec,
-    profile: AccessProfile,
-    latency: LatencyResult | None = None,
-) -> Utilization:
+def task_latency(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile,
+                 mapping: MappingSpec | None = None,
+                 bandwidth_penalty: float = 1.0) -> LatencyResult:
+    """The ledger's latency, without the roofs."""
+    return ledger(arch, wl, profile, mapping, bandwidth_penalty).latency
+
+
+def utilization(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec,
+                profile: AccessProfile, latency: LatencyResult | None = None) -> Utilization:
     """Spatial x temporal x core utilization of the mapped workload.
 
     Temporal utilization is the limiting term's share of the task
-    latency (``latency``, else ``task_latency`` of this mapping): what
-    serialized transfers and reloads add on top of it is stall time.
+    latency (``latency``, else the ledger's latency of this mapping):
+    what serialized transfers and reloads add on top of it is stall time.
     """
     if latency is None:
-        latency = task_latency(arch, wl, profile, mapping=mapping)
-    return Utilization(
-        spatial=spatial_utilization(arch, mapping),
-        temporal=latency.limiting_cycles / latency.cycles,
-        core=active_cores(mapping) / mapping.cores,
-    )
+        latency = task_latency(arch, wl, profile, mapping)
+    return Utilization(spatial_utilization(arch, mapping),
+                       latency.limiting_cycles / latency.cycles,
+                       active_cores(mapping) / mapping.cores)

@@ -13,10 +13,10 @@ With one (the reported, mapped latency) c is the number of active
 cores (L1 is per core), C counts one cycle per temporal step and fold
 pass divided by the array's throughput scale, every B_Li is de-rated
 by the sparsity bandwidth penalty, and R holds the serialized weight
-reload stalls.  ``task_latency`` (in ``mapping``) is that one term
-list; the operating point and the temporal utilization derive from it.
-This module holds the roofs and the point's record; ``analysis``
-places the point, in one evaluator shared by every entry path.
+reload stalls.  ``task_energy`` is the one E_task sum; every other
+per-level term is ``mapping.ledger``'s, one pass over the levels that
+lists the L_task terms (``task_latency`` reads only these) and each
+level's entries in the two roofs below, which this module builds.
 
 Both ceilings are plotted against the AI at one designated reference
 level (default L2); the other levels enter through fixed ratios
@@ -31,11 +31,12 @@ slopes or terms by level name, in level order, and its knee and bound
 labels are those keys.  The throughput roof has a sharp knee where the
 slowest memory slope meets the compute plateau; the energy roof bends
 smoothly and asymptotes at 1/E_op (ops/pJ, numerically equal to
-TOPS/W).  Curves are kept in ops/cycle and ops/pJ internally; seconds
-appear only at the reporting boundary.  Charts draw each roof through
-vertices taken from its closed form: the throughput roof's ends and
-knee, and the energy roof bisected in log-log space to within
-CHORD_TOL_DECADES.
+TOPS/W).  ``from_slopes`` and ``from_terms`` derive each roof's knees
+and asymptote, and ``at`` its value and bound at one AI.  Curves are
+kept in ops/cycle and ops/pJ internally; seconds appear only at the
+reporting boundary.  Charts draw each roof through vertices taken from
+its closed form: the throughput roof's ends and knee, and the energy
+roof bisected in log-log space to within CHORD_TOL_DECADES.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from typing import NamedTuple
 from .mapping import (  # task_latency and LatencyResult are re-exported here
     AccessProfile,
     LatencyResult,
-    active_cores,
     task_latency,
 )
 from .model import ArchSpec, MappingSpec, Record, WorkloadSpec, _set
@@ -96,26 +96,40 @@ class ThroughputRoofline(RooflineCurve):
 
     def __init__(self, knees: tuple[tuple[float, str], ...], asymptote: float,
                  slopes: dict[str, float]):  # r_i * B_Li
-        RooflineCurve.__init__(self, knees, asymptote)
+        _set(self, "knees", knees)
+        _set(self, "asymptote", asymptote)
         _set(self, "slopes", slopes)
 
+    @classmethod
+    def from_slopes(cls, arch: ArchSpec, slopes: dict[str, float],
+                    mapping: MappingSpec | None = None) -> "ThroughputRoofline":
+        """The roof over a ledger's slopes: plateau cores * A_op (one
+        core without a mapping), knee where the smallest slope meets it."""
+        plateau = float(arch.array.a_op) * (mapping.cores if mapping is not None else 1)
+        if not slopes:
+            return cls((), plateau, slopes)
+        limit = min(slopes, key=slopes.get)
+        return cls(((plateau / slopes[limit], limit),), plateau, slopes)
+
+    def at(self, ai_ref: float) -> tuple[float, str]:
+        """The roof and its bound at one AI.  The smallest slope limits;
+        a tie goes to the first key, nearest the array."""
+        if self.slopes:
+            level = min(self.slopes, key=self.slopes.get)
+            memory = self.slopes[level] * ai_ref
+            if memory < self.asymptote:
+                return memory, f"memory-bound({level})"
+        return self.asymptote, "compute-bound"
+
     def value_at(self, ai_ref: float) -> float:
-        if not self.slopes:
-            return self.asymptote
-        return min(min([s * ai_ref for s in self.slopes.values()]), self.asymptote)
+        return self.at(ai_ref)[0]
+
+    def bound_at(self, ai_ref: float) -> str:
+        return self.at(ai_ref)[1]
 
     def _vertices(self, ais: list[float]) -> tuple[tuple[float, float], ...]:
         """Two straight log-log lines: the ends and the knee are exact."""
         return tuple((ai, self.value_at(ai)) for ai in ais)
-
-    def bound_at(self, ai_ref: float) -> str:
-        """The smallest slope limits; a tie goes to the first key, nearest the array."""
-        if not self.slopes:
-            return "compute-bound"
-        level = min(self.slopes, key=self.slopes.get)
-        if self.slopes[level] * ai_ref < self.asymptote:
-            return f"memory-bound({level})"
-        return "compute-bound"
 
 
 class EnergyRoofline(RooflineCurve):
@@ -125,12 +139,29 @@ class EnergyRoofline(RooflineCurve):
 
     def __init__(self, knees: tuple[tuple[float, str], ...], asymptote: float,
                  e_op: float, terms: dict[str, float]):  # E_Li / r_i
-        RooflineCurve.__init__(self, knees, asymptote)
+        _set(self, "knees", knees)
+        _set(self, "asymptote", asymptote)
         _set(self, "e_op", e_op)
         _set(self, "terms", terms)
 
+    @classmethod
+    def from_terms(cls, arch: ArchSpec, terms: dict[str, float]) -> "EnergyRoofline":
+        """The roof over a ledger's energy terms: asymptote 1/E_op, and a
+        bend per level where its term equals the compute term, at
+        AI_ref = (E_Li/r_i)/E_op."""
+        e_op = arch.array.energy_per_op
+        if e_op > 0:
+            knees = sorted([(term / e_op, name) for name, term in terms.items()])
+            return cls(tuple(knees), 1.0 / e_op, e_op, terms)
+        if not any(lvl.energy_per_byte for lvl in arch.levels):
+            raise ValueError(
+                "energy_per_op and the energy_per_byte of every level "
+                f"({', '.join(lvl.name for lvl in arch.levels)}) are all 0: "
+                "ops/pJ and the energy roof are undefined")
+        return cls((), math.inf, e_op, terms)
+
     def value_at(self, ai_ref: float) -> float:
-        return 1.0 / (self.e_op + sum([t / ai_ref for t in self.terms.values()]))
+        return 1.0 / (self.e_op + self.memory_share(ai_ref))
 
     def _vertices(self, ais: list[float]) -> tuple[tuple[float, float], ...]:
         """Bisect each segment in log-log space, left to right, while the
@@ -151,13 +182,21 @@ class EnergyRoofline(RooflineCurve):
 
     def memory_share(self, ai_ref: float) -> float:
         """Summed per-level energy terms at this AI, in pJ/op."""
-        return sum(t / ai_ref for t in self.terms.values())
+        return sum([t / ai_ref for t in self.terms.values()])
+
+    def at(self, ai_ref: float) -> tuple[float, str]:
+        """The roof and its bound at one AI, from one summed memory term.
+        The largest term limits; a tie goes to the first key, nearest
+        the array."""
+        share = self.memory_share(ai_ref)
+        if share > self.e_op:
+            bound = f"memory-bound({max(self.terms, key=self.terms.get)})"
+        else:
+            bound = "compute-bound"
+        return 1.0 / (self.e_op + share), bound
 
     def bound_at(self, ai_ref: float) -> str:
-        """The largest term limits; a tie goes to the first key, nearest the array."""
-        if self.memory_share(ai_ref) > self.e_op:
-            return f"memory-bound({max(self.terms, key=self.terms.get)})"
-        return "compute-bound"
+        return self.at(ai_ref)[1]
 
 
 class OperatingPoint(NamedTuple):
@@ -180,53 +219,3 @@ def task_energy(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile) -> flo
     for lvl in arch.levels:
         energy += n_bytes[lvl.level_index] * lvl.energy_per_byte
     return energy
-
-
-def throughput_roofline(
-    arch: ArchSpec, ai_ratios: dict[int, float], mapping: MappingSpec | None = None
-) -> ThroughputRoofline:
-    """Attainable ops/cycle over reference AI; knee where the limiting
-    memory slope meets the compute plateau.  With a mapping the plateau
-    is cores * A_op and the per-core L1 slope counts the active cores."""
-    cores = mapping.cores if mapping is not None else 1
-    l1_share = active_cores(mapping) if mapping is not None else 1
-    plateau = float(arch.array.a_op) * cores
-    slopes = {
-        lvl.name: ai_ratios[lvl.level_index] * lvl.bandwidth
-        * (l1_share if lvl.level_index == 1 else 1)
-        for lvl in arch.levels
-        if math.isfinite(ai_ratios[lvl.level_index])
-    }
-    knees = []
-    if slopes:
-        limit = min(slopes, key=slopes.get)
-        knees.append((plateau / slopes[limit], limit))
-    return ThroughputRoofline(knees=tuple(knees), asymptote=plateau, slopes=slopes)
-
-
-def energy_roofline(arch: ArchSpec, ai_ratios: dict[int, float]) -> EnergyRoofline:
-    """Attainable ops/pJ over reference AI; smooth, asymptote 1/E_op.
-
-    The reported bends are the per-level AIs where that level's energy
-    term equals the compute term, i.e. AI_Li = E_Li/E_op.
-    """
-    e_op = arch.array.energy_per_op
-    if e_op == 0 and not any(lvl.energy_per_byte for lvl in arch.levels):
-        raise ValueError(
-            "energy_per_op and the energy_per_byte of every level "
-            f"({', '.join(lvl.name for lvl in arch.levels)}) are all 0: "
-            "ops/pJ and the energy roof are undefined")
-    terms = {
-        lvl.name: lvl.energy_per_byte / ai_ratios[lvl.level_index]
-        for lvl in arch.levels
-        if math.isfinite(ai_ratios[lvl.level_index]) and lvl.energy_per_byte > 0
-    }
-    knees = []
-    if e_op > 0:
-        knees = [(term / e_op, name) for name, term in terms.items()]
-    return EnergyRoofline(
-        knees=tuple(sorted(knees)),
-        asymptote=(1.0 / e_op if e_op > 0 else math.inf),
-        e_op=e_op,
-        terms=terms,
-    )

@@ -28,6 +28,7 @@ from .model import (
     ArchSpec,
     ComputeArray,
     MappingSpec,
+    OperandSpec,
     WorkloadSpec,
 )
 
@@ -137,22 +138,16 @@ def apply_quantization(
         )
 
     array = arch.array
-    new_array = array._replace(
-        energy_per_op=array.energy_per_op * energy_scale,
-        throughput_scale=array.throughput_scale * compute_scale,
-    )
-    new_arch = arch._replace(array=new_array)
-
+    new_array = ComputeArray(array.dims, array.energy_per_op * energy_scale,
+                             array.ops_per_mac, array.throughput_scale * compute_scale)
     new_operands = []
     for op in wl.operands:
         bits = q.precision_bits.get(op.name, op.precision_bits)
         bpe = quantized_bytes_per_element(bits, q.block_size, q.block_metadata_bits)
-        accum = None  # recomputed from the new width by OperandSpec
-        new_operands.append(
-            op._replace(precision_bits=bits, accum_bits=accum, bytes_per_element=bpe)
-        )
-    new_wl = wl._replace(operands=tuple(new_operands))
-    return new_arch, new_wl
+        # accum_bits None: OperandSpec derives it from the new width
+        new_operands.append(OperandSpec(op.name, op.role, op.relevant_dims, bits, None, bpe))
+    return (arch._replace(array=new_array),
+            WorkloadSpec(wl.name, wl.dims, tuple(new_operands)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,21 +20,19 @@ from roofline_lab import (
     apply_quantization,
     apply_sparsity,
     count_accesses,
-    energy_roofline,
     enumerate_accesses,
     imc_dynamic_range,
     imc_mapping_tradeoff,
     simulate_cycles,
     task_energy,
     task_latency,
-    throughput_roofline,
 )
 from roofline_lab.analysis import analyze_mapping
 from roofline_lab.config_io import fixture_path, parse_scenario
 from roofline_lab.mapping import AccessProfile
 from roofline_lab.report import load_scenario, run_scenario
 
-from conftest import gemm, make_arch, plain_mapping, unroll
+from conftest import ai_roofs, gemm, make_arch, plain_mapping, unroll
 
 REL = 1e-9
 
@@ -57,7 +55,7 @@ def criterion(n: int, title: str):
 def test_criterion_1_reference_rooflines(fig3_arch):
     with criterion(1, "reference throughput/energy rooflines"):
         start = time.perf_counter()
-        tp = throughput_roofline(fig3_arch, REF_RATIOS)
+        tp = ai_roofs(fig3_arch, REF_RATIOS)[0]
         # the innermost level owns the whole memory-bound region:
         # slopes are 8 < 32 < 128 ops/cycle per unit AI
         assert min(tp.slopes, key=tp.slopes.get) == "L1"
@@ -69,7 +67,7 @@ def test_criterion_1_reference_rooflines(fig3_arch):
         assert abs(knee_ai - 256.0) <= 256.0 * REL
         assert abs(tp.asymptote - 2048.0) <= 2048.0 * REL
 
-        en = energy_roofline(fig3_arch, REF_RATIOS)
+        en = ai_roofs(fig3_arch, REF_RATIOS)[1]
         # independent arithmetic: 1/(0.5 + 0.1/1 + 3/16 + 100/256)
         expected = 1.0 / (0.5 + 0.1 + 0.1875 + 0.390625)
         assert abs(en.value_at(16.0) - expected) <= expected * REL

@@ -305,12 +305,12 @@ class TestAnalyze:
         assert a == b
 
     def test_empty_points_layer_is_fine(self, tmp_path):
-        from roofline_lab import throughput_roofline
+        from conftest import ai_roofs
         from roofline_lab.config_io import parse_arch
         from roofline_lab.svgchart import emit_svg
 
         arch = parse_arch(fixture_path("fig3.arch"))
-        curve = throughput_roofline(arch, {1: 1 / 16, 2: 1.0, 3: 16.0})
+        curve = ai_roofs(arch, {1: 1 / 16, 2: 1.0, 3: 16.0})[0]
         out = tmp_path / "bare.svg"
         emit_svg([("roof", curve)], [], out)
         assert out.read_text().count('class="point"') == 0

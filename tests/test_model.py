@@ -30,11 +30,9 @@ from roofline_lab import (
     analyze_intensities,
     analyze_mapping,
     count_accesses,
-    energy_roofline,
     enumerate_accesses,
     imc_mapping_tradeoff,
     simulate_cycles,
-    throughput_roofline,
     validate,
 )
 from roofline_lab.config_io import (
@@ -49,7 +47,7 @@ from roofline_lab.model import Record, tile_elements, tile_extents
 from roofline_lab.report import LoadedScenario, load_scenario
 from roofline_lab.transforms import ImcDynamicRange
 
-from conftest import gemm, make_arch, plain_mapping, unroll
+from conftest import ai_roofs, gemm, make_arch, plain_mapping, unroll
 
 
 def five_core_setup():
@@ -373,8 +371,8 @@ RECORDS = [
     (AccessProfile, lambda: count_accesses(*_tiny()), "levels", (1, 2, 3)),
     (RooflineCurve, lambda: RooflineCurve(((1.0, "L1"),), 4.0),
      "asymptote", 8.0),
-    (ThroughputRoofline, lambda: throughput_roofline(_tiny()[0], RATIOS), "asymptote", 1.0),
-    (EnergyRoofline, lambda: energy_roofline(_tiny()[0], RATIOS), "e_op", 1.0),
+    (ThroughputRoofline, lambda: ai_roofs(_tiny()[0], RATIOS)[0], "asymptote", 1.0),
+    (EnergyRoofline, lambda: ai_roofs(_tiny()[0], RATIOS)[1], "e_op", 1.0),
     (Scenario, _scenario, "label", "other"),
     (LoadedScenario, lambda: load_scenario(_scenario()), "ref_level", 3),
     (EnumerationTrace, lambda: enumerate_accesses(*_tiny()), "events", {}),

@@ -13,18 +13,18 @@ from roofline_lab import (
     MappingSpec,
     analyze_intensities,
     analyze_mapping,
-    energy_roofline,
     task_energy,
     task_latency,
-    throughput_roofline,
+    utilization,
 )
 from roofline_lab import report
+from roofline_lab.analysis import LoadedScenario, scenario_traffic
 from roofline_lab.config_io import fixture_path, parse_scenario
 from roofline_lab.mapping import AccessProfile
 from roofline_lab.roofline import CHORD_TOL_DECADES, REL_TOL
 from roofline_lab.svgchart import emit_svg
 
-from conftest import gemm, make_arch, plain_mapping, unroll
+from conftest import ai_roofs, gemm, make_arch, plain_mapping, unroll
 
 # reference per-level intensities: AI_L2 = 16, one-sixteenth at L1,
 # sixteen-fold at L3
@@ -93,7 +93,7 @@ class TestTaskLatency:
 class TestThroughputRoofline:
     def test_reference_knee_and_plateau(self, fig3_arch):
         ratios = {1: 1 / 16, 2: 1.0, 3: 16.0}
-        curve = throughput_roofline(fig3_arch, ratios)
+        curve = ai_roofs(fig3_arch, ratios)[0]
         # slopes 8 < 32 < 128: the innermost level limits the whole
         # memory-bound region; knee where 8*ai meets the 2048 plateau
         assert curve.knees == ((256.0, "L1"),)
@@ -104,17 +104,17 @@ class TestThroughputRoofline:
 
     def test_single_level_knee_at_aop_over_bandwidth(self):
         arch = make_arch([(32, 0.1)], dims=(("row", 8), ("col", 8)))
-        curve = throughput_roofline(arch, {1: 1.0})
+        curve = ai_roofs(arch, {1: 1.0})[0]
         assert curve.knees[0][0] == arch.array.a_op / 32
 
     def test_unbounded_bandwidth_is_flat(self, fig3_arch):
         ratios = {1: math.inf, 2: math.inf, 3: math.inf}
-        curve = throughput_roofline(fig3_arch, ratios)
+        curve = ai_roofs(fig3_arch, ratios)[0]
         assert curve.value_at(0.001) == 2048.0
         assert not curve.knees
 
     def test_samples_nondecreasing_and_constant_after_knee(self, fig3_arch):
-        curve = throughput_roofline(fig3_arch, {1: 1 / 16, 2: 1.0, 3: 16.0})
+        curve = ai_roofs(fig3_arch, {1: 1 / 16, 2: 1.0, 3: 16.0})[0]
         values = [v for _, v in curve.samples]
         assert all(b >= a * (1 - REL_TOL) for a, b in zip(values, values[1:]))
         past = [v for ai, v in curve.samples if ai >= 256.0]
@@ -123,34 +123,34 @@ class TestThroughputRoofline:
     def test_knee_abscissa_independent_of_clock(self, fig3_arch):
         ratios = {1: 1 / 16, 2: 1.0, 3: 16.0}
         fast = fig3_arch._replace(clock=fig3_arch.clock * 7)
-        assert (throughput_roofline(fig3_arch, ratios).knees
-                == throughput_roofline(fast, ratios).knees)
+        assert (ai_roofs(fig3_arch, ratios)[0].knees
+                == ai_roofs(fast, ratios)[0].knees)
 
 
 class TestEnergyRoofline:
     def test_reference_value_at_ai16(self, fig3_arch):
-        curve = energy_roofline(fig3_arch, {1: 1 / 16, 2: 1.0, 3: 16.0})
+        curve = ai_roofs(fig3_arch, {1: 1 / 16, 2: 1.0, 3: 16.0})[1]
         expected = 1.0 / (0.5 + 0.1 / 1.0 + 3.0 / 16.0 + 100.0 / 256.0)
         assert curve.value_at(16.0) == pytest.approx(expected, rel=REL_TOL)
 
     def test_asymptote_is_inverse_op_energy(self, fig3_arch):
-        curve = energy_roofline(fig3_arch, {1: 1 / 16, 2: 1.0, 3: 16.0})
+        curve = ai_roofs(fig3_arch, {1: 1 / 16, 2: 1.0, 3: 16.0})[1]
         assert curve.asymptote == 2.0
         assert curve.value_at(1e12) == pytest.approx(2.0, rel=1e-9)
 
     def test_free_memory_is_flat_at_inverse_op_energy(self):
         arch = make_arch([(128, 0.0), (32, 0.0)], e_op=0.5)
-        curve = energy_roofline(arch, {1: 1.0, 2: 1.0})
+        curve = ai_roofs(arch, {1: 1.0, 2: 1.0})[1]
         for ai in (0.01, 1.0, 100.0):
             assert curve.value_at(ai) == 2.0
 
     def test_samples_strictly_increase(self, fig3_arch):
-        curve = energy_roofline(fig3_arch, {1: 1 / 16, 2: 1.0, 3: 16.0})
+        curve = ai_roofs(fig3_arch, {1: 1 / 16, 2: 1.0, 3: 16.0})[1]
         values = [v for _, v in curve.samples]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_bend_points_at_energy_ratio(self, fig3_arch):
-        curve = energy_roofline(fig3_arch, {1: 1.0, 2: 1.0, 3: 1.0})
+        curve = ai_roofs(fig3_arch, {1: 1.0, 2: 1.0, 3: 1.0})[1]
         # flat intensity ratios: each level bends at E_Li / E_op
         assert dict((name, ai) for ai, name in curve.knees) == {
             "L1": 0.1 / 0.5, "L2": 3.0 / 0.5, "L3": 100.0 / 0.5
@@ -218,8 +218,7 @@ class TestSamples:
                                         {1: math.inf, 2: math.inf, 3: math.inf}])
     def test_samples_grid_spans_whole_decades_around_the_knees(self, fig3_arch,
                                                                ratios):
-        for curve in (throughput_roofline(fig3_arch, ratios),
-                      energy_roofline(fig3_arch, ratios)):
+        for curve in ai_roofs(fig3_arch, ratios):
             ais = [ai for ai, _ in curve.samples]
             for end in (ais[0], ais[-1]):
                 assert end == float(f"1e{round(math.log10(end))}")
@@ -288,8 +287,7 @@ class TestRegimeDivergence:
             dims=(("row", 32), ("col", 32)),
         )
         ratios = {1: 1.0, 2: 1.0, 3: 1.0}
-        tp = throughput_roofline(arch, ratios)
-        en = energy_roofline(arch, ratios)
+        tp, en = ai_roofs(arch, ratios)
         ai = 100.0
         assert tp.bound_at(ai) == "compute-bound"
         assert en.memory_share(ai) > arch.array.energy_per_op
@@ -374,12 +372,16 @@ CORE_SPLITS = {
 }
 
 
-def _core_split_result(name, overlap="overlapped"):
+def _core_split(name, overlap="overlapped"):
     levels, nest, split = CORE_SPLITS[name]
     arch = make_arch(levels, dims=(("row", 8), ("col", 8)), overlap=overlap)
     mapping = plain_mapping(nest, spatial=[unroll("row", "C", 8), unroll("col", "K", 8)],
                             cores=2, core_split=(split, 2))
-    return analyze_mapping(arch, gemm(64, 32, 32), mapping, label=name)
+    return LoadedScenario(name, arch, gemm(64, 32, 32), mapping, None, None, ())
+
+
+def _core_split_result(name, overlap="overlapped"):
+    return report.run_scenario(_core_split(name, overlap))
 
 
 def _swept(name, param, value):
@@ -448,21 +450,53 @@ class TestOneLatencyModel:
         assert dict(r.latency.terms)["reload"] == 256
 
 
+VIEWS = {
+    **{n: (lambda n=n: _scenario(n)) for n in SCENARIOS},
+    **{f"{n}-serialized": (lambda n=n: _serialized(_scenario(n))) for n in SCENARIOS},
+    **{n: (lambda n=n: _core_split(n)) for n in CORE_SPLITS},
+    "pinned-reloads": _pinned_with_reloads,
+    "pinned-reloads-serialized": lambda: _serialized(_pinned_with_reloads()),
+}
+
+
+class TestLedgerViews:
+    """``task_latency``, ``task_energy`` and ``utilization`` price a
+    design point without its roofs; each equals what the evaluator,
+    which reads the same ledger, reports for it."""
+
+    @pytest.mark.parametrize("case", VIEWS)
+    def test_views_equal_the_evaluator(self, case):
+        loaded = VIEWS[case]()
+        arch, wl, mapping, _, penalty, profile = scenario_traffic(loaded)
+        r = report.run_scenario(loaded)
+        latency = task_latency(arch, wl, profile, mapping, penalty)
+        assert latency == r.latency
+        assert task_energy(arch, wl, profile) == r.e_task_pj
+        if mapping is not None:
+            assert utilization(arch, wl, mapping, profile, latency) == r.utilization
+            if penalty == 1.0:  # without a latency it prices the dense one
+                assert utilization(arch, wl, mapping, profile) == r.utilization
+
+
 @st.composite
 def roofs(draw):
     """An arbitrary architecture's two roofs over 1-4 levels, with
-    unbounded AI ratios and free levels or free compute among them."""
+    unbounded AI ratios and free levels or free compute among them.
+    The reference level moves bytes: a roof is placed from a profile,
+    and r_i = N_ref/N_Li is 0 on every level if N_ref is."""
     n = draw(st.integers(1, 4))
     magnitude = st.floats(-3, 3).map(lambda e: 10.0 ** e)
     energy = st.one_of(st.just(0.0), magnitude)
     levels = [(draw(magnitude), draw(energy)) for _ in range(n)]
     e_op = draw(energy)
-    ratios = {li: draw(st.one_of(st.just(math.inf), magnitude)) for li in range(1, n + 1)}
+    ref = min(2, n)
+    ratios = {li: draw(magnitude if li == ref else st.one_of(st.just(math.inf), magnitude))
+              for li in range(1, n + 1)}
     assume(e_op > 0 or any(e > 0 and math.isfinite(ratios[li])
                            for li, (_, e) in enumerate(levels, 1)))
     dims = (("row", draw(st.integers(1, 64))), ("col", draw(st.integers(1, 64))))
     arch = make_arch(levels, dims=dims, e_op=e_op)
-    return arch, throughput_roofline(arch, ratios), energy_roofline(arch, ratios)
+    return arch, *ai_roofs(arch, ratios)
 
 
 def _named(arch, *names):
@@ -477,13 +511,13 @@ class TestBoundLabels:
 
     def test_tied_slopes_name_the_nearer_level(self):
         arch = _named(make_arch([(32, 0.1), (32, 1.0)]), "Z", "A")
-        curve = throughput_roofline(arch, {1: 1.0, 2: 1.0})
+        curve = ai_roofs(arch, {1: 1.0, 2: 1.0})[0]
         assert curve.knees == ((arch.array.a_op / 32, "Z"),)
         assert curve.bound_at(0.01) == "memory-bound(Z)"
 
     def test_tied_energy_terms_name_the_nearer_level(self):
         arch = _named(make_arch([(128, 1.0), (32, 1.0)]), "Z", "A")
-        curve = energy_roofline(arch, {1: 1.0, 2: 1.0})
+        curve = ai_roofs(arch, {1: 1.0, 2: 1.0})[1]
         assert curve.bound_at(1.0) == "memory-bound(Z)"
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
