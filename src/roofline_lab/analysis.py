@@ -179,10 +179,7 @@ def _evaluate(traffic: Traffic, label: str, ref_level: int | None) -> AnalysisRe
     tp_curve = ThroughputRoofline.from_slopes(arch, led.slopes, mapping)
     e_curve = EnergyRoofline.from_terms(arch, led.energy)
     e_task = task_energy(arch, wl, profile)
-    if mapping is None:
-        util = Utilization(1.0, latency.limiting_cycles / latency.cycles, 1.0)
-    else:
-        util = utilization(arch, wl, mapping, profile, latency)
+    util = utilization(arch, wl, mapping, profile, latency)
 
     ai_ref = led.ai[ref]
     ops_per_cycle = effective_ops / latency.cycles

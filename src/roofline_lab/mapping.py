@@ -284,10 +284,6 @@ class LatencyResult(NamedTuple):
     limiter: str  # the largest level or compute term
     terms: tuple[tuple[str, float], ...]
 
-    @property
-    def limiting_cycles(self) -> float:
-        return dict(self.terms)[self.limiter]
-
 
 class Ledger(NamedTuple):
     """One design point's cost per level, from one pass over the levels:
@@ -366,16 +362,20 @@ def task_latency(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile,
     return ledger(arch, wl, profile, mapping, bandwidth_penalty).latency
 
 
-def utilization(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec,
+def utilization(arch: ArchSpec, wl: WorkloadSpec, mapping: MappingSpec | None,
                 profile: AccessProfile, latency: LatencyResult | None = None) -> Utilization:
-    """Spatial x temporal x core utilization of the mapped workload.
+    """Spatial x temporal x core utilization of the workload.
 
-    Temporal utilization is the limiting term's share of the task
-    latency (``latency``, else the ledger's latency of this mapping):
-    what serialized transfers and reloads add on top of it is stall time.
+    Temporal utilization is the compute term's share of the task latency
+    (``latency``, else the ledger's latency of this mapping): the share
+    of cycles in which the array computes.  Then attained ops/cycle =
+    cores * A_op * spatial * temporal * core * effective/N_op.  An AI
+    profile (no mapping) fills the array and its one core.
     """
     if latency is None:
         latency = task_latency(arch, wl, profile, mapping)
-    return Utilization(spatial_utilization(arch, mapping),
-                       latency.limiting_cycles / latency.cycles,
+    temporal = dict(latency.terms)[COMPUTE] / latency.cycles
+    if mapping is None:
+        return Utilization(1.0, temporal, 1.0)
+    return Utilization(spatial_utilization(arch, mapping), temporal,
                        active_cores(mapping) / mapping.cores)

@@ -414,7 +414,7 @@ CASES = {
 
 class TestOneLatencyModel:
     """L_task, the attained point, the temporal utilization and the
-    drawn roof all come from one latency term list, so they agree."""
+    drawn roof all come from one ledger, so they agree."""
 
     @pytest.mark.parametrize("case", CASES)
     def test_report_agrees_with_itself(self, case):
@@ -426,16 +426,21 @@ class TestOneLatencyModel:
         assert p.throughput_bound == curve.bound_at(p.ai_ref)
         limiting = max(c for name, c in lat.terms if name != "reload")
         assert dict(lat.terms)[lat.limiter] == limiting
-        assert r.utilization.temporal == pytest.approx(limiting / lat.cycles, rel=1e-12)
+        u = r.utilization
+        assert u.temporal == pytest.approx(dict(lat.terms)["compute"] / lat.cycles, rel=1e-12)
+        # the utilization product multiplies out to the attained point
+        assert p.ops_per_cycle == pytest.approx(
+            curve.asymptote * u.spatial * u.temporal * u.core
+            * r.effective_ops / r.workload.n_op, rel=1e-12)
         assert r.arch.latency_overlap == (
             "serialized" if case.endswith("serialized") else "overlapped")
         assert p.ai_ref == r.ai[p.ref_level]
 
     def test_serialized_gemm_dense_temporal_utilization(self):
         r = report.run_scenario(_serialized(_scenario("gemm_dense")))
-        # L3 limits at 40 cycles of 32 compute + 13 + 10 + 40 transfer
+        # the array computes 32 of 32 compute + 13 + 10 + 40 transfer cycles
         assert r.latency.cycles == 95
-        assert f"{r.utilization.temporal:.10g}" == "0.4210526316"
+        assert f"{r.utilization.temporal:.10g}" == "0.3368421053"
 
     def test_unmapped_latency_keeps_the_ideal_numbers(self, fig3_arch, ref_workload,
                                                       ref_profile):
