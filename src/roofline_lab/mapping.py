@@ -285,6 +285,9 @@ class LatencyResult(NamedTuple):
     terms: tuple[tuple[str, float], ...]
 
 
+_CYCLES = itemgetter(1)  # of a (resource, cycles) term
+
+
 class Ledger(NamedTuple):
     """One design point's cost per level, from one pass over the levels:
     the latency with its terms and the compute term, and, priced against
@@ -345,14 +348,15 @@ def ledger(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile,
         compute = temporal_steps(arch, mapping) / arch.array.throughput_scale
         stalls = float(reload_stall_cycles(profile, mapping))
     terms.append((COMPUTE, compute))
-    limiter, cycles = max(terms, key=itemgetter(1))
+    limiter, cycles = max(terms, key=_CYCLES)
     if arch.latency_overlap == SERIALIZED:
         cycles = sum([c for _, c in terms])
     if stalls:
         terms.append((RELOAD, stalls))
         cycles += stalls
-    latency = LatencyResult(cycles / arch.clock, cycles, limiter, tuple(terms))
-    return Ledger(latency, compute, ai, slopes, energy)
+    new = tuple.__new__  # as in count_accesses
+    latency = new(LatencyResult, (cycles / arch.clock, cycles, limiter, tuple(terms)))
+    return new(Ledger, (latency, compute, ai, slopes, energy))
 
 
 def task_latency(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile,
