@@ -164,9 +164,9 @@ def scenario_traffic(loaded: LoadedScenario, count: Callable | None = None) -> T
 
 
 def _evaluate(traffic: Traffic, label: str, ref_level: int | None) -> AnalysisResult:
-    """The cost stage: one ledger pass prices the point, and both roofs,
+    """The cost stage: one ledger pass over the levels, which both roofs,
     the latency, the utilization and the point (effective ops / L_task
-    against the roofs at the reference AI) read it; ``task_energy`` sums
+    against the roofs at the reference AI) read; ``task_energy`` sums
     E_task."""
     arch, wl, mapping, effective_ops, bandwidth_penalty, profile = traffic
     ref = ref_level if ref_level is not None else min(DEFAULT_REF_LEVEL, arch.n_levels)

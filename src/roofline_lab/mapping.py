@@ -290,12 +290,11 @@ _CYCLES = itemgetter(1)  # of a (resource, cycles) term
 
 class Ledger(NamedTuple):
     """One design point's cost per level, from one pass over the levels:
-    the latency with its terms and the compute term, and, priced against
-    a reference level, each level's AI and the two roofs' per-level
-    entries (empty without one)."""
+    the latency with its terms and, priced against a reference level,
+    each level's AI and the two roofs' per-level entries (empty without
+    one)."""
 
     latency: LatencyResult
-    compute: float  # cycles
     ai: dict[int, float]  # AI_Li = effective ops / N_Li
     slopes: dict[str, float]  # r_i * B_Li, the L1 slope times the active cores
     energy: dict[str, float]  # E_Li / r_i, levels that cost energy
@@ -356,7 +355,7 @@ def ledger(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile,
         cycles += stalls
     new = tuple.__new__  # as in count_accesses
     latency = new(LatencyResult, (cycles / arch.clock, cycles, limiter, tuple(terms)))
-    return new(Ledger, (latency, compute, ai, slopes, energy))
+    return new(Ledger, (latency, ai, slopes, energy))
 
 
 def task_latency(arch: ArchSpec, wl: WorkloadSpec, profile: AccessProfile,
