@@ -86,10 +86,11 @@ def fig3_arch() -> ArchSpec:
 
 def ai_roofs(arch: ArchSpec, ratios: dict[int, float]):
     """(throughput roof, energy roof) of ``arch`` as an AI profile places
-    them: per-level AI in the ratios r_i = AI_Li/AI_ref given, with
-    AI_ref = 1 (``ratios`` gives the reference level 1), over a 2048-op
-    GEMM.  An infinite ratio is a level that moves no bytes.  Powers of
-    two come back exactly as the roofs' r_i."""
+    them over a 2048-op GEMM, with each level's AI equal to its given
+    ratio r_i = AI_Li/AI_ref, so AI_ref = 1 when the reference level's
+    ratio is 1 (any other value rescales the AI axis).  An infinite
+    ratio is a level that moves no bytes.  Powers of two come back
+    exactly as the roofs' r_i."""
     r = analyze_intensities(arch, gemm(16, 8, 8), ratios)
     return r.throughput_curve, r.energy_curve
 
